@@ -3,8 +3,12 @@
 A curve is a dict {(i, j): Fraction} for x^i y^j.  Substituting a polynomial
 line parametrization (x(c, s), y(c, s)) turns it into an "SPoly": a list of
 integer polynomials in the sweep parameter c, indexed by the power of the
-line coordinate s.  Resultants w.r.t. s are taken with Bareiss fraction-free
-elimination on the Sylvester matrix, whose entries are ZPs in c.
+line coordinate s.  Subresultants w.r.t. s, the resultant among them, are
+determinants of Sylvester submatrices whose entries are ZPs in c, taken with
+Bareiss fraction-free elimination.  The signed subresultant sequence of G
+and dG/ds decides everything about G(alpha, s) at a real algebraic alpha
+(gcd degree, tangent point, real roots in an interval) through signs of
+integer polynomials at alpha.
 """
 
 from __future__ import annotations
@@ -14,12 +18,14 @@ from fractions import Fraction
 from .polys import (
     ZP,
     zp,
+    zp_add,
     zp_divexact,
     zp_mul,
     zp_neg,
     zp_scale,
     zp_sub,
 )
+from .realroots import sign_variations
 
 BiPoly = dict  # {(i, j): Fraction}
 
@@ -54,14 +60,6 @@ def bp_eval(a: BiPoly, x: Fraction, y: Fraction) -> Fraction:
 
 def bp_dx(a: BiPoly) -> BiPoly:
     return bp_normalize({(i - 1, j): v * i for (i, j), v in a.items() if i > 0})
-
-
-def bp_dy(a: BiPoly) -> BiPoly:
-    return bp_normalize({(i, j - 1): v * j for (i, j), v in a.items() if j > 0})
-
-
-def bp_total_degree(a: BiPoly) -> int:
-    return max((i + j for i, j in a), default=-1)
 
 
 def bp_restrict_line(a: BiPoly, px, py):
@@ -112,9 +110,6 @@ class SPoly:
     def degree_s(self) -> int:
         return len(self.coeffs) - 1
 
-    def lead(self) -> ZP:
-        return self.coeffs[-1] if self.coeffs else ()
-
     def ds(self) -> "SPoly":
         return SPoly([zp_scale(c, k) for k, c in enumerate(self.coeffs)][1:])
 
@@ -123,8 +118,24 @@ class SPoly:
         from .polys import zp_eval_fr
         return [zp_eval_fr(co, c) for co in self.coeffs]
 
-    def zp_coeffs(self):
-        return list(self.coeffs)
+    def coeff(self, k: int) -> ZP:
+        return self.coeffs[k] if k < len(self.coeffs) else ()
+
+    def at_s(self, r: Fraction) -> ZP:
+        """den(r)^deg * self(c, r): a ZP in c with the sign of self at s = r."""
+        num, den, d = r.numerator, r.denominator, self.degree_s()
+        acc = ()
+        for k, co in enumerate(self.coeffs):
+            acc = zp_add(acc, zp_scale(co, num**k * den**(d - k)))
+        return acc
+
+    def truncated(self, alpha) -> "SPoly":
+        """Self without the leading s-coefficients that vanish at the real
+        algebraic number alpha: its s-degree at alpha is its degree."""
+        d = self.degree_s()
+        while d >= 0 and alpha.sign_of(self.coeffs[d]) == 0:
+            d -= 1
+        return self if d == self.degree_s() else SPoly(self.coeffs[:d + 1])
 
 
 def substitute_line_family(F: BiPoly, x_cs: BiPoly, y_cs: BiPoly) -> SPoly:
@@ -159,37 +170,43 @@ def substitute_line_family(F: BiPoly, x_cs: BiPoly, y_cs: BiPoly) -> SPoly:
     return SPoly(cols)
 
 
+def subresultant(P: SPoly, Q: SPoly, j: int) -> SPoly:
+    """The j-th subresultant of P and Q in s, for j < min(deg P, deg Q) or j = 0.
+
+    Its s^i coefficient is the determinant of the Sylvester submatrix made of
+    the rows of s^(deg Q - j - 1) P, ..., P, s^(deg P - j - 1) Q, ..., Q, the
+    first deg P + deg Q - 2j - 1 columns and the column of s^i.  One
+    fraction-free elimination of the shared columns yields all j + 1 of them.
+    """
+    m, n = P.degree_s(), Q.degree_s()
+    width = m + n - j
+    rows = [_shifted_row(P, r, width) for r in range(n - j)]
+    rows += [_shifted_row(Q, r, width) for r in range(m - j)]
+    return SPoly(reversed(_bareiss_bordered(rows)))
+
+
 def sylvester_resultant(P: SPoly, Q: SPoly) -> ZP:
-    """Res_s(P, Q) as a ZP in c, via Bareiss on the Sylvester matrix."""
+    """Res_s(P, Q) as a ZP in c: the subresultant of index 0."""
     m, n = P.degree_s(), Q.degree_s()
     if m < 0 or n < 0:
         return ()
-    if m == 0:
-        return _zp_pow(P.coeffs[0], n)
-    if n == 0:
-        return _zp_pow(Q.coeffs[0], m)
-    size = m + n
-    M = [[() for _ in range(size)] for _ in range(size)]
-    pc = list(reversed(P.coeffs))  # high first
-    qc = list(reversed(Q.coeffs))
-    for r in range(n):
-        for k, c in enumerate(pc):
-            M[r][r + k] = c
-    for r in range(m):
-        for k, c in enumerate(qc):
-            M[n + r][r + k] = c
-    return _bareiss_det(M)
+    if m + n == 0:
+        return (1,)
+    return subresultant(P, Q, 0).coeff(0)
 
 
-def _zp_pow(p: ZP, k: int) -> ZP:
-    out = (1,)
-    for _ in range(k):
-        out = zp_mul(out, p)
-    return out
+def _shifted_row(P: SPoly, r: int, width: int):
+    row = [()] * width
+    for k, c in enumerate(reversed(P.coeffs)):
+        row[r + k] = c
+    return row
 
 
-def _bareiss_det(M) -> ZP:
-    """Fraction-free determinant for matrices over ZZ[c]."""
+def _bareiss_bordered(M):
+    """Fraction-free elimination over ZZ[c] of the first n - 1 columns of an
+    n-row matrix.  Returns the last row from column n - 1 on: by Sylvester's
+    identity its entry k is the determinant of the first n - 1 columns
+    bordered by column n - 1 + k (for a square matrix, [det M])."""
     n = len(M)
     M = [row[:] for row in M]
     sign = 1
@@ -198,14 +215,106 @@ def _bareiss_det(M) -> ZP:
         if not M[k][k]:
             piv = next((r for r in range(k + 1, n) if M[r][k]), None)
             if piv is None:
-                return ()
+                return [()] * (len(M[0]) - n + 1)
             M[k], M[piv] = M[piv], M[k]
             sign = -sign
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(M[i])):
                 num = zp_sub(zp_mul(M[i][j], M[k][k]), zp_mul(M[i][k], M[k][j]))
                 M[i][j] = zp_divexact(num, prev) if num else ()
-            M[i][k] = ()
         prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign > 0 else zp_neg(det)
+    last = M[n - 1][n - 1:]
+    return last if sign > 0 else [zp_neg(c) for c in last]
+
+
+def gcd_at(P: SPoly, Q: SPoly, alpha):
+    """Degree k of gcd(P(alpha, s), Q(alpha, s)), and an SPoly that
+    specialises at alpha to such a gcd.
+
+    P and Q keep their s-degrees at alpha (see ``SPoly.truncated``), and
+    deg P >= deg Q.  The gcd degree is the least j whose subresultant has a
+    principal coefficient (that of s^j) nonzero at alpha; when there is none,
+    Q divides P.
+    """
+    if Q.degree_s() < 0:
+        return P.degree_s(), P
+    for j in range(Q.degree_s()):
+        S = subresultant(P, Q, j)
+        if alpha.sign_of(S.coeff(j)) != 0:
+            return j, S
+    return Q.degree_s(), Q
+
+
+class SturmHabicht:
+    """Signed subresultant sequence of G and G_s = dG/ds in s, over ZZ[c].
+
+    Entry j, for j = p = deg G down to 0, is sResP_j(G, G_s): G, then G_s,
+    then (-1)^((p-j)(p-j-1)/2) times the j-th subresultant; entry 0 is the
+    resultant ``res`` up to sign.  Entries are built on first use.
+
+    At a real algebraic alpha where the s-leading coefficient of G does not
+    vanish (``at`` truncates G so that it does not), the entries specialise to
+    the signed subresultants of G(alpha, s) and its derivative, and every
+    question about G(alpha, s) is the sign of an integer polynomial in c at
+    alpha (Basu, Pollack, Roy, Algorithms in Real Algebraic Geometry,
+    ch. 8-9; González-Vega and Necula, CAGD 2002):
+      - deg gcd(G(alpha, s), G_s(alpha, s)) is the least j whose principal
+        coefficient (that of s^j in entry j) is nonzero at alpha; entry j is
+        then a gcd, and the entries below it vanish at alpha;
+      - the sign variations of the entries at s = a, minus those at s = b,
+        count the distinct real roots of G(alpha, s) in (a, b] when neither
+        end is a root, as for a Sturm sequence.
+    """
+
+    def __init__(self, G: SPoly, res: ZP):
+        self.p = G.degree_s()
+        self._entries = {0: self._signed(SPoly([res]), 0), self.p: G, self.p - 1: G.ds()}
+
+    def _signed(self, S: SPoly, j: int) -> SPoly:
+        e = self.p - j
+        return SPoly([zp_neg(c) for c in S.coeffs]) if e * (e - 1) // 2 % 2 else S
+
+    def __getitem__(self, j: int) -> SPoly:
+        if j not in self._entries:
+            S = subresultant(self._entries[self.p], self._entries[self.p - 1], j)
+            self._entries[j] = self._signed(S, j)
+        return self._entries[j]
+
+    @classmethod
+    def of(cls, G: SPoly) -> "SturmHabicht":
+        return cls(G, sylvester_resultant(G, G.ds()))
+
+    def at(self, alpha) -> "SturmHabicht":
+        """This sequence, or that of G truncated to its s-degree at alpha."""
+        G = self._entries[self.p]
+        Gt = G.truncated(alpha)
+        return self if Gt is G else self.of(Gt)
+
+    def gcd_degree(self, alpha) -> int:
+        """deg gcd(G(alpha, s), G_s(alpha, s)); 0 when deg G < 1."""
+        return next((j for j in range(self.p) if alpha.sign_of(self[j].coeff(j)) != 0), 0)
+
+    def sign_at(self, alpha, s: Fraction) -> int:
+        """Sign of G(alpha, s) at a rational s."""
+        return alpha.sign_of(self[self.p].at_s(s))
+
+    def count_roots(self, alpha, lo: Fraction, hi: Fraction) -> int:
+        """Distinct real roots of G(alpha, s) in (lo, hi]; lo, hi not roots."""
+        return (self._variations(lambda S: alpha.sign_of(S.at_s(lo)))
+                - self._variations(lambda S: alpha.sign_of(S.at_s(hi))))
+
+    def real_root_count(self, alpha) -> int:
+        """Distinct real roots of G(alpha, s)."""
+        return (self._variations(lambda S: _sign_at_infinity(S, alpha, -1))
+                - self._variations(lambda S: _sign_at_infinity(S, alpha, 1)))
+
+    def _variations(self, sign) -> int:
+        return sign_variations([sign(self[j]) for j in range(self.p, -1, -1)])
+
+
+def _sign_at_infinity(S: SPoly, alpha, direction: int) -> int:
+    for k in range(S.degree_s(), -1, -1):
+        sg = alpha.sign_of(S.coeffs[k])
+        if sg:
+            return -sg if direction < 0 and k % 2 else sg
+    return 0

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
-from . import __version__, local_model, omega, render, report, sweep
+from . import __version__, local_model, omega, render, report, sweep, validate
 from .events import DegenerateScene
 from .geometry import SceneError, load_scene
 
@@ -93,10 +92,16 @@ def cmd_enumerate_omega(args) -> int:
 def cmd_export(args) -> int:
     try:
         scene = load_scene(args.scene)
-        graph = sweep.build_trajectory_space(scene)
     except (SceneError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    failures = validate.validate_scene(scene).failures()
+    if failures:
+        for name, detail in failures:
+            sys.stderr.write(f"validation failed: {name}: {detail}\n")
+        return 1
+    try:
+        graph = sweep.build_trajectory_space(scene)
     except DegenerateScene as exc:
         sys.stderr.write(f"degenerate scene: {exc.reason}\n")
         return 2
@@ -119,9 +124,8 @@ def cmd_oracle(args) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    threads = int(os.environ.get("TRAVERSE_THREADS", "1"))
     observed = local_model.sampled_patterns(
-        pattern, args.samples, Fraction(args.magnitude), seed=args.seed, threads=threads)
+        pattern, args.samples, Fraction(args.magnitude), seed=args.seed)
     resolved = omega.resolutions(pattern)
     doc = {
         "pattern": omega.format_pattern(pattern),

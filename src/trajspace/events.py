@@ -3,31 +3,30 @@
 For a boundary curve F and the family line_c(s), the restriction
 G(c, s) = F(line_c(s)) has tangency parameters among the real roots of
 Res_s(G, dG/ds).  At each such root alpha the gcd of G(alpha, .) and its
-s-derivative over QQ(alpha) classifies the coincidence exactly:
+s-derivative classifies the coincidence exactly.  Its degree and its
+coefficients come from the signed subresultant sequence of G and dG/ds,
+computed once over ZZ[c] (``bivar.SturmHabicht``):
 
-  deg gcd = 1   one real double root (an honest order-2 tangency); the
-                tangent point's s-coordinate is rational in alpha
+  deg gcd = 1   one real double root (an honest order-2 tangency) at
+                s* = -S_{1,0}(alpha) / S_{1,1}(alpha)
   deg gcd = 2   discriminant < 0: a complex double pair, not an event;
                 discriminant >= 0: a triple tangency or two simultaneous
                 tangencies, both non-generic
-  deg gcd >= 3  an unresolved coincidence, treated as non-generic
+  deg gcd >= 3  real-root counts of the gcd and of its own gcd with its
+                derivative tell a harmless complex coincidence from a
+                non-generic real one
 
-No number-field factorization is ever needed; everything reduces to signs
-of integer polynomials at isolated algebraic numbers.
+No arithmetic in QQ(alpha) is ever needed; everything reduces to signs of
+integer polynomials at isolated algebraic numbers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bivar import SPoly, sylvester_resultant
-from .polys import zp_squarefree_part
-from .realroots import (
-    AlgebraicNumber,
-    FieldElement,
-    FieldPoly,
-    isolate_real_roots,
-)
+from .bivar import SPoly, SturmHabicht, sylvester_resultant
+from .polys import zp_mul, zp_neg, zp_scale, zp_squarefree_part, zp_sub
+from .realroots import AlgebraicNumber, isolate_real_roots
 
 
 class DegenerateScene(Exception):
@@ -52,37 +51,39 @@ class DegenerateScene(Exception):
 class ParamEvent:
     """A real order-2 tangency of one component at one sweep parameter."""
 
-    __slots__ = ("component", "chart", "alpha", "s_star", "g_alpha")
+    __slots__ = ("component", "chart", "alpha", "seq")
 
-    def __init__(self, component, chart, alpha, s_star, g_alpha):
+    def __init__(self, component, chart, alpha, seq: SturmHabicht):
         self.component = component      # component index in the scene
         self.chart = chart              # 0 (constant field) | 0/1 (radial)
         self.alpha = alpha              # AlgebraicNumber, sweep parameter
-        self.s_star = s_star            # FieldElement over alpha
-        self.g_alpha = g_alpha          # FieldPoly: G(alpha, s)
+        self.seq = seq                  # of G(alpha, s); gcd degree 1 at alpha
 
-    def approx(self) -> float:
-        return float(self.alpha)
+    def s_star_sign(self) -> int:
+        """Sign of the tangent point's line coordinate s*."""
+        c0, c1 = self.seq[1].coeffs
+        return -self.alpha.sign_of(c0) * self.alpha.sign_of(c1)
+
+    def s_star_interval(self, width: Fraction):
+        """Rationals lo <= s* <= hi with hi - lo <= width."""
+        c0, c1 = self.seq[1].coeffs
+        return self.alpha.ratio_interval(zp_neg(c0), c1, width)
 
 
-def classify_parameter(G: SPoly, comp_idx: int, chart: int,
-                       alpha: AlgebraicNumber, strict: bool = True):
-    """Classify one resultant root: ParamEvent, None, or DegenerateScene."""
-    g_alpha = FieldPoly.from_zp_coeffs(alpha, G.zp_coeffs())
-    if g_alpha.degree() < 1:
-        return None
-    gcd = g_alpha.gcd(g_alpha.derivative())
-    k = gcd.degree()
+def classify_parameter(seq: SturmHabicht, comp_idx: int, chart: int,
+                       alpha: AlgebraicNumber):
+    """Classify one root of Res_s(G, G_s), where ``seq`` is the sequence of G:
+    ParamEvent, None, or DegenerateScene."""
+    seq = seq.at(alpha)
+    k = seq.gcd_degree(alpha)
     if k <= 0:
         return None
     if k == 1:
-        s_star = -(gcd.coeffs[0] / gcd.coeffs[1])
-        return ParamEvent(comp_idx, chart, alpha, s_star, g_alpha)
+        return ParamEvent(comp_idx, chart, alpha, seq)
     witness = ("component %d" % comp_idx, float(alpha), (alpha.lo, alpha.hi))
     if k == 2:
-        a, b, c = gcd.coeffs[2], gcd.coeffs[1], gcd.coeffs[0]
-        disc = b * b - a * c * FieldElement.from_rational(alpha, 4)
-        sd = disc.sign()
+        c, b, a = (seq[2].coeff(i) for i in range(3))
+        sd = alpha.sign_of(zp_sub(zp_mul(b, b), zp_scale(zp_mul(a, c), 4)))
         if sd < 0:
             return None  # complex double pair: no real tangency here
         reason = ("two simultaneous tangencies at one sweep parameter"
@@ -91,10 +92,11 @@ def classify_parameter(G: SPoly, comp_idx: int, chart: int,
     # k >= 3: decide what is real.  A multiple root of the gcd is a root of
     # multiplicity > 2 of G itself; a square-free gcd with several real roots
     # means simultaneous tangencies; all-complex coincidences are harmless.
-    g2 = gcd.gcd(gcd.derivative())
-    if g2.degree() >= 1 and _field_real_root_count(g2) >= 1:
+    gcd = SturmHabicht.of(seq[k])
+    k2 = gcd.gcd_degree(alpha)
+    if k2 >= 1 and SturmHabicht.of(gcd[k2]).real_root_count(alpha) >= 1:
         raise DegenerateScene("tangency of multiplicity > 2", witness)
-    nreal = _field_real_root_count(gcd)
+    nreal = gcd.real_root_count(alpha)
     if nreal >= 2:
         raise DegenerateScene("two simultaneous tangencies at one sweep parameter",
                               witness)
@@ -104,20 +106,15 @@ def classify_parameter(G: SPoly, comp_idx: int, chart: int,
         "unresolved real/complex tangency coincidence (gcd degree %d)" % k, witness)
 
 
-def _variations(signs):
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
-def _field_real_root_count(fp: FieldPoly) -> int:
-    """Total distinct real roots via Sturm sign variations at +-infinity."""
-    chain = fp.sturm_chain()
-    neg, pos = [], []
-    for member in chain:
-        s = member.lead().sign()
-        pos.append(s)
-        neg.append(s if member.degree() % 2 == 0 else -s)
-    return _variations(neg) - _variations(pos)
+def multiple_root_params(G: SPoly):
+    """Square-free part of Res_s(G, G_s), its real roots, and the signed
+    subresultant sequence of G; (None, [], None) when the resultant vanishes."""
+    res = sylvester_resultant(G, G.ds())
+    if not res:
+        return None, [], None
+    rsf = zp_squarefree_part(res)
+    params = [AlgebraicNumber(rsf, lo, hi) for lo, hi in isolate_real_roots(rsf)]
+    return rsf, params, SturmHabicht(G, res)
 
 
 def component_events(G: SPoly, comp_idx: int, chart: int,
@@ -127,19 +124,17 @@ def component_events(G: SPoly, comp_idx: int, chart: int,
     Returns (events, resultant_squarefree).  Resultant roots at the interval
     ends are the caller's problem (seam collisions get a chart rotation).
     """
-    res = sylvester_resultant(G, G.ds())
-    if not res:
+    rsf, params, seq = multiple_root_params(G)
+    if rsf is None:
         raise DegenerateScene(
             "identically tangent family (vanishing resultant) on component %d" % comp_idx,
             ("component %d" % comp_idx, None, (lo, hi)),
         )
-    rsf = zp_squarefree_part(res)
     events = []
-    for rlo, rhi in isolate_real_roots(rsf):
-        alpha = AlgebraicNumber(rsf, rlo, rhi)
+    for alpha in params:
         if alpha.compare_rational(lo) <= 0 or alpha.compare_rational(hi) >= 0:
             continue
-        ev = classify_parameter(G, comp_idx, chart, alpha)
+        ev = classify_parameter(seq, comp_idx, chart, alpha)
         if ev is not None:
             events.append(ev)
     return events, rsf

@@ -210,12 +210,6 @@ def line_family(scene: Scene, chart: int = 0, seam_rotation: Fraction = Fraction
     return bp_normalize(x), bp_normalize(y)
 
 
-def validate_scene(scene: Scene):
-    """Exact validation of all scene invariants; see trajspace.validate."""
-    from .validate import validate_scene as _impl
-    return _impl(scene)
-
-
 def sweep_param_range(scene: Scene):
     """Closed parameter interval of one chart of the sweep."""
     if scene.field.kind == "constant":

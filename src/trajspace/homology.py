@@ -154,12 +154,6 @@ def graph_homology_ranks(graph):
     return b[0] + loops, b[1]
 
 
-def filtration_homology_ranks(graph):
-    """Ranks of the graph's filtration complex (no loop subdivision)."""
-    b = graph_chain_complex(graph).betti_numbers()
-    return tuple(b)
-
-
 def cw_complex_of_double(table) -> ChainComplex:
     """Cellular chain complex of DX from the strata table.
 

@@ -92,14 +92,11 @@ def build_model(pattern) -> ModelPolynomial:
     return model
 
 
-def sampled_patterns(pattern, sample_count: int, magnitude, seed: int = 0,
-                     threads: int = 1):
+def sampled_patterns(pattern, sample_count: int, magnitude, seed: int = 0):
     """Distinct trajectory-pattern sequences over random small parameters.
 
     Parameters are uniform rationals with |x| <= magnitude on a fixed
-    denominator grid; the RNG is seeded for reproducibility, and the sample
-    list is generated up front so the result does not depend on evaluation
-    order or thread count.
+    denominator grid; the RNG is seeded for reproducibility.
     """
     pattern = omega.check_pattern(pattern)
     magnitude = Fraction(magnitude)
@@ -120,13 +117,7 @@ def sampled_patterns(pattern, sample_count: int, magnitude, seed: int = 0,
         assert sum(mults) % 2 == omega.norm(pattern) % 2, "complex roots must pair up"
         return tuple(omega.segment_patterns(mults))
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            observed = set(pool.map(run, samples))
-    else:
-        observed = set(map(run, samples))
-    return observed
+    return set(map(run, samples))
 
 
 def chamber_count(observed) -> int:

@@ -2,9 +2,9 @@
 
 Polynomials are tuples of ints (or Fractions at API boundaries), coefficients
 stored low degree first, normalized so the last entry is nonzero; the zero
-polynomial is the empty tuple.  Keeping the core over ZZ (primitive parts,
-pseudo-division, subresultant-style gcd) avoids Fraction overhead in the hot
-paths of root isolation.
+polynomial is the empty tuple.  Polynomials are kept over ZZ as primitive
+parts; gcds and Sturm chains run Euclid's algorithm with remainders over QQ
+(``qp_divmod``) and integerize each remainder.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ def zp_from_fractions(coeffs) -> ZP:
 
 def zp_degree(p: ZP) -> int:
     return len(p) - 1  # -1 for the zero polynomial
-
-
-def zp_lead(p: ZP) -> int:
-    return p[-1] if p else 0
 
 
 def zp_neg(p: ZP) -> ZP:
@@ -123,13 +119,6 @@ def zp_sign_at(p: ZP, x: Fraction) -> int:
     for i in range(deg, -1, -1):
         acc = acc * num + p[i] * den ** (deg - i)
     return (acc > 0) - (acc < 0)
-
-
-def zp_eval_float(p: ZP, x: float) -> float:
-    acc = 0.0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def qp_divmod(p, q):

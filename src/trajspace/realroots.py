@@ -5,8 +5,8 @@ sign-safe as long as rescaling constants stay positive) drive isolation and
 interval refinement.  An algebraic number is a square-free defining polynomial
 plus an isolating interval; the only primitive everything else reduces to is
 ``AlgebraicNumber.sign_of``: the exact sign of another polynomial at the
-number.  On top of that, ``FieldElement`` implements arithmetic in QQ(alpha)
-as lazy fractions of polynomials, reduced modulo the defining polynomial.
+number.  Questions about polynomials with coefficients in QQ(alpha) are
+put as such signs by ``bivar.SturmHabicht``.
 """
 
 from __future__ import annotations
@@ -17,18 +17,15 @@ from .polys import (
     ZP,
     qp_divmod,
     zp,
-    zp_add,
     zp_degree,
     zp_derivative,
     zp_eval_fr,
     zp_from_fractions,
     zp_gcd,
-    zp_mul,
     zp_neg,
     zp_sign_at,
     zp_squarefree_decomposition,
     zp_squarefree_part,
-    zp_sub,
 )
 
 
@@ -44,26 +41,14 @@ def sturm_chain(p: ZP):
     return chain
 
 
-def _variations(signs):
+def sign_variations(signs) -> int:
+    """Sign changes in a sequence of -1/0/1, zeros skipped."""
     signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
 def sturm_variations_at(chain, x: Fraction) -> int:
-    return _variations([zp_sign_at(q, x) for q in chain])
-
-
-def sturm_variations_at_inf(chain, positive: bool) -> int:
-    signs = []
-    for q in chain:
-        if not q:
-            signs.append(0)
-        elif positive:
-            signs.append(1 if q[-1] > 0 else -1)
-        else:
-            s = 1 if q[-1] > 0 else -1
-            signs.append(s if (len(q) - 1) % 2 == 0 else -s)
-    return _variations(signs)
+    return sign_variations([zp_sign_at(q, x) for q in chain])
 
 
 def count_roots(chain, lo: Fraction, hi: Fraction) -> int:
@@ -130,13 +115,12 @@ class AlgebraicNumber:
     arithmetic predicates (sign_of, compare) are exact.
     """
 
-    __slots__ = ("poly", "lo", "hi", "_chain")
+    __slots__ = ("poly", "lo", "hi")
 
     def __init__(self, poly: ZP, lo: Fraction, hi: Fraction):
         self.poly = poly
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        self._chain = None
 
     @classmethod
     def from_rational(cls, r) -> "AlgebraicNumber":
@@ -146,11 +130,6 @@ class AlgebraicNumber:
     @property
     def is_rational(self) -> bool:
         return self.lo == self.hi
-
-    def chain(self):
-        if self._chain is None:
-            self._chain = sturm_chain(self.poly)
-        return self._chain
 
     def refine(self, steps: int = 1) -> None:
         for _ in range(steps):
@@ -171,11 +150,29 @@ class AlgebraicNumber:
             self.refine()
 
     def sign_of(self, q: ZP) -> int:
-        """Exact sign of q(alpha)."""
+        """Exact sign of q(alpha).
+
+        q is first reduced modulo the defining polynomial.  A range of q over
+        the isolating interval, bisected up to 32 times, then decides any
+        sign that is not too close to 0; only what remains pays for the gcd
+        with the defining polynomial (q(alpha) = 0 exactly) and a Sturm
+        chain of q (refining until no root of q is left in the interval).
+        """
         if not q:
             return 0
         if self.is_rational:
             return zp_sign_at(q, self.lo)
+        if len(q) >= len(self.poly):
+            q = zp_from_fractions(qp_divmod(list(q), list(self.poly))[1])
+            if not q:
+                return 0
+        for _ in range(32):
+            lo, hi = _poly_range(q, self.lo, self.hi)
+            if lo > 0 or hi < 0:
+                return 1 if lo > 0 else -1
+            self.refine()
+            if self.is_rational:
+                return zp_sign_at(q, self.lo)
         g = zp_gcd(self.poly, q)
         if zp_degree(g) >= 1 and count_roots(sturm_chain(g), self.lo, self.hi) > 0:
             return 0
@@ -223,15 +220,20 @@ class AlgebraicNumber:
         s = self.sign_of(zp([-r.numerator, r.denominator]))
         return s
 
-    def rational_below(self) -> Fraction:
-        if self.is_rational:
-            return self.lo - 1
-        return self.lo
-
-    def rational_above(self) -> Fraction:
-        if self.is_rational:
-            return self.lo + 1
-        return self.hi
+    def ratio_interval(self, num: ZP, den: ZP, width: Fraction):
+        """Rationals lo <= num(alpha)/den(alpha) <= hi with hi - lo <= width,
+        refining alpha as needed; den(alpha) must be nonzero."""
+        while True:
+            if self.is_rational:
+                v = zp_eval_fr(num, self.lo) / zp_eval_fr(den, self.lo)
+                return v, v
+            nlo, nhi = _poly_range(num, self.lo, self.hi)
+            dlo, dhi = _poly_range(den, self.lo, self.hi)
+            if not dlo <= 0 <= dhi:
+                cands = [nlo / dlo, nlo / dhi, nhi / dlo, nhi / dhi]
+                if max(cands) - min(cands) <= width:
+                    return min(cands), max(cands)
+            self.refine()
 
     def __float__(self) -> float:
         if self.is_rational:
@@ -275,137 +277,6 @@ def real_roots_with_multiplicities(coeffs):
     return roots
 
 
-class FieldElement:
-    """Element of QQ(alpha) as num/den of integer polynomials in alpha.
-
-    Both polynomials are reduced modulo the defining polynomial of alpha, so
-    degrees stay below deg(alpha).  Exact zero tests and signs go through
-    ``AlgebraicNumber.sign_of``.
-    """
-
-    __slots__ = ("alpha", "num", "den")
-
-    def __init__(self, alpha: AlgebraicNumber, num: ZP, den: ZP = (1,)):
-        self.alpha = alpha
-        # reductions (mod the defining poly, gcd cancellation) must rescale
-        # num and den by a COMMON positive factor, or the value changes
-        n_fr, d_fr = [Fraction(c) for c in num], [Fraction(c) for c in den]
-        m = list(alpha.poly)
-        if not alpha.is_rational:
-            if len(n_fr) - 1 >= zp_degree(alpha.poly):
-                _, n_fr = qp_divmod(n_fr, m)
-            if len(d_fr) - 1 >= zp_degree(alpha.poly):
-                _, d_fr = qp_divmod(d_fr, m)
-        self.num, self.den = _common_integerize(n_fr, d_fr)
-        if not self.den or alpha.sign_of(self.den) == 0:
-            raise ZeroDivisionError("denominator vanishes at alpha")
-        if self.num:
-            g = zp_gcd(self.num, self.den)
-            if zp_degree(g) >= 1:
-                nq, nr = qp_divmod(list(self.num), list(g))
-                dq, dr = qp_divmod(list(self.den), list(g))
-                if not nr and not dr:
-                    self.num, self.den = _common_integerize(nq, dq)
-
-    @classmethod
-    def from_rational(cls, alpha, r) -> "FieldElement":
-        r = Fraction(r)
-        return cls(alpha, zp([r.numerator]), zp([r.denominator]))
-
-    def sign(self) -> int:
-        if not self.num:
-            return 0
-        return self.alpha.sign_of(self.num) * self.alpha.sign_of(self.den)
-
-    def is_zero(self) -> bool:
-        return self.sign() == 0
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FieldElement(
-            self.alpha,
-            zp_add(zp_mul(self.num, other.den), zp_mul(other.num, self.den)),
-            zp_mul(self.den, other.den),
-        )
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElement(
-            self.alpha,
-            zp_sub(zp_mul(self.num, other.den), zp_mul(other.num, self.den)),
-            zp_mul(self.den, other.den),
-        )
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.alpha, zp_mul(self.num, other.num), zp_mul(self.den, other.den))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero field element")
-        return FieldElement(self.alpha, zp_mul(self.num, other.den), zp_mul(self.den, other.num))
-
-    def __neg__(self):
-        return FieldElement(self.alpha, zp_neg(self.num), self.den)
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            return other
-        return FieldElement.from_rational(self.alpha, other)
-
-    def interval(self, width: Fraction):
-        """A rational interval containing the value, of width <= width."""
-        while True:
-            lo, hi = self._interval_once()
-            if hi - lo <= width:
-                return lo, hi
-            self.alpha.refine()
-
-    def _interval_once(self):
-        a = self.alpha
-        if a.is_rational:
-            v = zp_eval_fr(self.num, a.lo) / zp_eval_fr(self.den, a.lo)
-            return v, v
-        nlo, nhi = _poly_range(self.num, a.lo, a.hi)
-        dlo, dhi = _poly_range(self.den, a.lo, a.hi)
-        if dlo <= 0 <= dhi:
-            a.refine()
-            return self._interval_once()
-        cands = [nlo / dlo, nlo / dhi, nhi / dlo, nhi / dhi]
-        return min(cands), max(cands)
-
-    def __float__(self):
-        lo, hi = self.interval(Fraction(1, 10**12))
-        return float((lo + hi) / 2)
-
-    def __repr__(self):
-        return f"FE({float(self):.6g})"
-
-
-def _common_integerize(n_fr, d_fr):
-    """Scale two Fraction coefficient lists by one positive rational so both
-    become integer tuples; preserves the value of the fraction n/d."""
-    while n_fr and n_fr[-1] == 0:
-        n_fr.pop()
-    while d_fr and d_fr[-1] == 0:
-        d_fr.pop()
-    from math import gcd as _gcd
-    den = 1
-    for f in list(n_fr) + list(d_fr):
-        den = den * f.denominator // _gcd(den, f.denominator)
-    n = zp(int(f * den) for f in n_fr)
-    d = zp(int(f * den) for f in d_fr)
-    if n or d:
-        g = 0
-        for c in (list(n) + list(d)):
-            g = _gcd(g, abs(c))
-        if g > 1:
-            n = tuple(c // g for c in n)
-            d = tuple(c // g for c in d)
-    return n, d
-
-
 def _poly_range(p: ZP, lo: Fraction, hi: Fraction):
     """Crude interval extension of p over [lo, hi] via endpoint + bound."""
     if not p:
@@ -417,84 +288,3 @@ def _poly_range(p: ZP, lo: Fraction, hi: Fraction):
     bound = sum(abs(c) * m**i for i, c in enumerate(dp)) if dp else Fraction(0)
     slack = bound * (hi - lo)
     return min(a, b) - slack, max(a, b) + slack
-
-
-class FieldPoly:
-    """Polynomial in one variable with FieldElement coefficients."""
-
-    def __init__(self, alpha, coeffs):
-        self.alpha = alpha
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = cs
-
-    @classmethod
-    def from_zp_coeffs(cls, alpha, zp_coeffs):
-        """Build from s-coefficients that are ZPs in the parameter."""
-        return cls(alpha, [FieldElement(alpha, c if c else ()) for c in zp_coeffs])
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def lead(self):
-        return self.coeffs[-1]
-
-    def eval_rational(self, q: Fraction) -> FieldElement:
-        acc = FieldElement.from_rational(self.alpha, 0)
-        for c in reversed(self.coeffs):
-            acc = acc * FieldElement.from_rational(self.alpha, q) + c
-        return acc
-
-    def derivative(self):
-        return FieldPoly(self.alpha, [c * FieldElement.from_rational(self.alpha, i)
-                                      for i, c in enumerate(self.coeffs)][1:])
-
-    def divmod(self, other: "FieldPoly"):
-        if other.is_zero():
-            raise ZeroDivisionError
-        rem = list(self.coeffs)
-        quo = [FieldElement.from_rational(self.alpha, 0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        dlead = other.lead()
-        while len(rem) >= len(other.coeffs):
-            while rem and rem[-1].is_zero():
-                rem.pop()
-            if len(rem) < len(other.coeffs):
-                break
-            k = len(rem) - len(other.coeffs)
-            f = rem[-1] / dlead
-            quo[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - f * c
-            rem.pop()
-        return FieldPoly(self.alpha, quo), FieldPoly(self.alpha, rem)
-
-    def gcd(self, other: "FieldPoly") -> "FieldPoly":
-        a, b = self, other
-        while not b.is_zero():
-            _, r = a.divmod(b)
-            a, b = b, r
-        return a
-
-    def sturm_chain(self):
-        chain = [self, self.derivative()]
-        while not chain[-1].is_zero():
-            _, r = chain[-2].divmod(chain[-1])
-            if r.is_zero():
-                break
-            chain.append(FieldPoly(self.alpha, [-c for c in r.coeffs]))
-        return [c for c in chain if not c.is_zero()]
-
-
-def field_count_distinct_roots(chain, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots in (lo, hi] of the FieldPoly generating ``chain``.
-
-    Valid for Sturm chains of square-free polynomials; for non-square-free
-    ones pass the chain of poly/gcd(poly, poly').
-    """
-    def vari_at(x):
-        return _variations([c.eval_rational(x).sign() for c in chain])
-    return vari_at(lo) - vari_at(hi)

@@ -17,7 +17,7 @@ from . import geometry
 from .bivar import substitute_line_family
 from .events import DegenerateScene, ParamEvent, component_events
 from .polys import zp_sign_at
-from .realroots import field_count_distinct_roots, real_roots_with_multiplicities
+from .realroots import real_roots_with_multiplicities
 
 
 class MatchingAmbiguous(Exception):
@@ -127,9 +127,6 @@ class _Cell:
     lo: Fraction = None
     hi: Fraction = None
 
-    def crossing_id(self, pos):
-        return self.order[pos]
-
     def traj_ids(self, t):
         en, ex = self.trajectories[t]
         return (self.order[en], self.order[ex])
@@ -215,10 +212,9 @@ def _sample_cell(scene, spolys, chart, q, c: Fraction) -> _Cell:
 
 def _isolate_sstar_window(ev: ParamEvent, radial: bool):
     """Rationals r_lo < s* < r_hi containing no other real root of G(alpha)."""
-    chain = ev.g_alpha.sturm_chain()
     width = Fraction(1, 4)
     for _ in range(200):
-        r_lo, r_hi = ev.s_star.interval(width)
+        r_lo, r_hi = ev.s_star_interval(width)
         pad = (r_hi - r_lo) / 4 if r_hi > r_lo else Fraction(1, 1024)
         r_lo, r_hi = r_lo - pad, r_hi + pad
         if radial and r_lo <= 0:
@@ -227,13 +223,13 @@ def _isolate_sstar_window(ev: ParamEvent, radial: bool):
         # nudge endpoints off roots of G(alpha, .)
         bump = (r_hi - r_lo) / 17
         tries = 0
-        while ev.g_alpha.eval_rational(r_lo).sign() == 0 and tries < 40:
+        while ev.seq.sign_at(ev.alpha, r_lo) == 0 and tries < 40:
             r_lo -= bump
             tries += 1
-        while ev.g_alpha.eval_rational(r_hi).sign() == 0 and tries < 80:
+        while ev.seq.sign_at(ev.alpha, r_hi) == 0 and tries < 80:
             r_hi += bump
             tries += 1
-        if field_count_distinct_roots(chain, r_lo, r_hi) == 1:
+        if ev.seq.count_roots(ev.alpha, r_lo, r_hi) == 1:
             return r_lo, r_hi
         width /= 4
     raise MatchingAmbiguous("could not isolate the tangency point")
@@ -400,7 +396,7 @@ def _events_and_charts(scene):
                     seam_hit = True
                     break
                 if radial:
-                    evs = [e for e in evs if e.s_star.sign() > 0]
+                    evs = [e for e in evs if e.s_star_sign() > 0]
                 all_events.extend(evs)
             if seam_hit:
                 break
@@ -593,7 +589,8 @@ def _apply_event(uf, i, j, match: _EventMatch, vid, edge_attach, scene, q):
     matched_poor = {poor_map[ids] for ids in survivors}
 
     # tangency point, for reports and figures
-    s_approx = float(ev.s_star)
+    s_lo, s_hi = ev.s_star_interval(Fraction(1, 10**12))
+    s_approx = float((s_lo + s_hi) / 2)
     line = _field_line(scene, ev.chart, q, Fraction(ev.alpha.lo + ev.alpha.hi, 2)
                        if not ev.alpha.is_rational else ev.alpha.lo)
     px, py = line.point_at(Fraction(s_approx).limit_denominator(10**9))

@@ -21,12 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bivar import bp_dx, bp_restrict_line, substitute_line_family, sylvester_resultant
+from .bivar import (
+    SturmHabicht,
+    bp_dx,
+    bp_restrict_line,
+    gcd_at,
+    substitute_line_family,
+    sylvester_resultant,
+)
+from .events import multiple_root_params
 from .polys import zp_degree, zp_from_fractions, zp_squarefree_part
 from .realroots import (
     AlgebraicNumber,
-    FieldElement,
-    FieldPoly,
     isolate_real_roots,
     real_roots_with_multiplicities,
 )
@@ -61,56 +67,29 @@ def _vertical_restriction(F):
     return substitute_line_family(F, x_cs, y_cs)
 
 
-def _multiple_root_params(G):
-    """Square-free resultant of (G, G_s) and its isolated real roots."""
-    res = sylvester_resultant(G, G.ds())
-    if not res:
-        return None, []
-    rsf = zp_squarefree_part(res)
-    return rsf, [AlgebraicNumber(rsf, lo, hi) for lo, hi in isolate_real_roots(rsf)]
-
-
-def _real_common_root(fp_a: FieldPoly, fp_b: FieldPoly):
-    """Whether two FieldPolys share a real root; degree-2 gcds use the
-    discriminant, higher degrees are reported as undecided (True)."""
-    g = fp_a.gcd(fp_b)
-    k = g.degree()
-    if k <= 0:
-        return False
-    if k == 1:
-        return True
-    if k == 2:
-        a, b, c = g.coeffs[2], g.coeffs[1], g.coeffs[0]
-        disc = b * b - a * c * FieldElement.from_rational(a.alpha, 4)
-        return disc.sign() >= 0
-    return True
+def _real_common_root(A, B, alpha):
+    """Whether A(alpha, s) and B(alpha, s) share a real root; both have their
+    exact s-degrees at alpha, and A is not zero there."""
+    if A.degree_s() < B.degree_s():
+        A, B = B, A
+    k, g = gcd_at(A, B, alpha)
+    return k >= 1 and SturmHabicht.of(g).real_root_count(alpha) >= 1
 
 
 def _check_smooth(comp, report):
     """No real point with F = Fx = Fy = 0 (in particular on tangency loci)."""
     G = _vertical_restriction(comp.implicit)
     fx = _vertical_restriction(bp_dx(comp.implicit))
-    rsf, params = _multiple_root_params(G)
+    rsf, params, seq = multiple_root_params(G)
     if rsf is None:
         report.add(f"curve_smooth[{comp.name}]", False,
                    "CURVE_SINGULAR: restriction identically degenerate")
         return
     for alpha in params:
-        g_alpha = FieldPoly.from_zp_coeffs(alpha, G.zp_coeffs())
-        if g_alpha.degree() < 1:
-            continue
-        gc = g_alpha.gcd(g_alpha.derivative())
-        if gc.degree() < 1:
-            continue
-        fx_alpha = FieldPoly.from_zp_coeffs(alpha, fx.zp_coeffs())
-        if fx_alpha.is_zero():
-            # F_x vanishes on the whole line: singular iff a multiple point
-            # of the restriction is actually real
-            from .events import _field_real_root_count
-            bad = _field_real_root_count(gc) >= 1
-        else:
-            bad = _real_common_root(gc, fx_alpha)
-        if bad:
+        at = seq.at(alpha)
+        k = at.gcd_degree(alpha)
+        # a singular point is a real common root of G, G_s and F_x on x = alpha
+        if k >= 1 and _real_common_root(at[k], fx.truncated(alpha), alpha):
             report.add(f"curve_smooth[{comp.name}]", False,
                        f"CURVE_SINGULAR: singular point near x = {float(alpha):.6g}")
             return
@@ -128,11 +107,10 @@ def _check_disjoint(ci, cj, name_i, name_j, report):
     rsf = zp_squarefree_part(res)
     for lo, hi in isolate_real_roots(rsf):
         alpha = AlgebraicNumber(rsf, lo, hi)
-        fa = FieldPoly.from_zp_coeffs(alpha, Gi.zp_coeffs())
-        fb = FieldPoly.from_zp_coeffs(alpha, Gj.zp_coeffs())
-        if fa.degree() < 0 or fb.degree() < 0:
+        fa, fb = Gi.truncated(alpha), Gj.truncated(alpha)
+        if fa.degree_s() < 0 or fb.degree_s() < 0:
             continue
-        if _real_common_root(fa, fb):
+        if _real_common_root(fa, fb, alpha):
             report.add(f"disjoint[{name_i},{name_j}]", False,
                        f"COMPONENTS_INTERSECT: common point near x = {float(alpha):.6g}")
             return
@@ -147,7 +125,7 @@ def _curve_point(comp, scene):
     the curve.
     """
     G = _vertical_restriction(comp.implicit)
-    rsf, params = _multiple_root_params(G)
+    _, params, _ = multiple_root_params(G)
     xs = []
     for alpha in params:
         alpha.refine_below(Fraction(1, 1024))
@@ -287,7 +265,7 @@ def interior_point(scene):
     if px is not None:
         probes.append(px)
     G0 = _vertical_restriction(scene.outer.implicit)
-    _, params = _multiple_root_params(G0)
+    _, params, _ = multiple_root_params(G0)
     vals = sorted((a.lo + a.hi) / 2 for a in params)
     for i in range(len(vals) - 1):
         probes.append((vals[i] + vals[i + 1]) / 2)

@@ -3,12 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajspace.polys import zp, zp_mul
+from trajspace.bivar import SPoly, SturmHabicht
+from trajspace.polys import zp, zp_add, zp_mul
 from trajspace.realroots import (
     AlgebraicNumber,
-    FieldElement,
-    FieldPoly,
-    field_count_distinct_roots,
     isolate_real_roots,
     real_roots_with_multiplicities,
     sturm_chain,
@@ -95,41 +93,26 @@ def test_algebraic_sign_and_compare():
     assert sqrt2.compare(neg) > 0
 
 
-def test_field_arithmetic_identity():
-    sqrt2 = AlgebraicNumber(zp([-2, 0, 1]), Fraction(1), Fraction(2))
-    a = FieldElement(sqrt2, zp([1, 1]))        # 1 + sqrt2
-    b = FieldElement(sqrt2, zp([1, -1]))       # 1 - sqrt2
-    prod = a * b                               # 1 - 2 = -1
-    assert prod.sign() == -1
-    assert (prod + FieldElement.from_rational(sqrt2, 1)).sign() == 0
-    half = a / (a + a)
-    assert (half - FieldElement.from_rational(sqrt2, Fraction(1, 2))).sign() == 0
-
-
 def test_field_poly_gcd_detects_double_root():
     sqrt2 = AlgebraicNumber(zp([-2, 0, 1]), Fraction(1), Fraction(2))
-    # (s - sqrt2)^2 = s^2 - 2 sqrt2 s + 2, coefficients in QQ(sqrt2)
-    coeffs = [FieldElement.from_rational(sqrt2, 2),
-              FieldElement(sqrt2, zp([0, -2])),
-              FieldElement.from_rational(sqrt2, 1)]
-    fp = FieldPoly(sqrt2, coeffs)
-    g = fp.gcd(fp.derivative())
-    assert g.degree() == 1
-    s_star = -(g.coeffs[0] / g.coeffs[1])
-    assert (s_star * s_star - FieldElement.from_rational(sqrt2, 2)).sign() == 0
+    # G = s^2 - 2cs + 2 is (s - sqrt2)^2 at c = sqrt2
+    seq = SturmHabicht.of(SPoly([(2,), (0, -2), (1,)]))
+    assert seq.gcd_degree(sqrt2) == 1
+    # s* = -S_{1,0}/S_{1,1} = sqrt2, i.e. S_{1,0} + c S_{1,1} vanishes at sqrt2
+    s10, s11 = seq[1].coeffs
+    assert sqrt2.sign_of(zp_add(s10, zp_mul((0, 1), s11))) == 0
+    assert sqrt2.sign_of(s11) != 0
 
 
 def test_field_sturm_counts():
     sqrt2 = AlgebraicNumber(zp([-2, 0, 1]), Fraction(1), Fraction(2))
-    # (s - sqrt2)(s + 1): roots at -1 and sqrt2
-    coeffs = [FieldElement(sqrt2, zp([0, -1])),
-              FieldElement(sqrt2, zp([1, -1])),
-              FieldElement.from_rational(sqrt2, 1)]
-    fp = FieldPoly(sqrt2, coeffs)
-    chain = fp.sturm_chain()
-    assert field_count_distinct_roots(chain, Fraction(-2), Fraction(0)) == 1
-    assert field_count_distinct_roots(chain, Fraction(0), Fraction(2)) == 1
-    assert field_count_distinct_roots(chain, Fraction(-2), Fraction(2)) == 2
+    # G = (s - c)(s + 1): roots at -1 and sqrt2 when c = sqrt2
+    seq = SturmHabicht.of(SPoly([(0, -1), (1, -1), (1,)]))
+    assert seq.gcd_degree(sqrt2) == 0
+    assert seq.count_roots(sqrt2, Fraction(-2), Fraction(0)) == 1
+    assert seq.count_roots(sqrt2, Fraction(0), Fraction(2)) == 1
+    assert seq.count_roots(sqrt2, Fraction(-2), Fraction(2)) == 2
+    assert seq.real_root_count(sqrt2) == 2
 
 
 def test_sturm_count_interval():
@@ -137,3 +120,72 @@ def test_sturm_count_interval():
     chain = sturm_chain(p)
     assert count_roots(chain, Fraction(0), Fraction(3)) == 1
     assert count_roots(chain, Fraction(-10), Fraction(10)) == 3
+
+def _sympy_value(sp, alpha):
+    """alpha as a sympy expression: a rational, or a root of a quadratic."""
+    if alpha.is_rational:
+        return sp.Rational(alpha.lo.numerator, alpha.lo.denominator)
+    c = sp.symbols("c")
+    roots = sp.Poly(list(reversed(alpha.poly)), c).all_roots()
+    return next(r for r in roots if alpha.lo < r < alpha.hi)
+
+
+def _spoly_mul(P, Q):
+    out = [()] * (len(P.coeffs) + len(Q.coeffs))
+    for i, a in enumerate(P.coeffs):
+        for j, b in enumerate(Q.coeffs):
+            out[i + j] = zp_add(out[i + j], zp_mul(a, b))
+    return SPoly(out)
+
+
+@st.composite
+def _scene_at_alpha(draw):
+    """G in ZZ[c][s], alpha rational or quadratic, and windows in s."""
+    def spoly(deg_s):
+        return SPoly([zp(draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3)))
+                      for _ in range(deg_s + 1)])
+
+    G = spoly(draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        # a square factor makes multiple roots, and so gcds, likely
+        F = spoly(1)
+        G = _spoly_mul(_spoly_mul(F, F), spoly(draw(st.integers(0, 2))))
+    if draw(st.booleans()):
+        alpha = AlgebraicNumber.from_rational(Fraction(draw(st.integers(-4, 4)),
+                                                       draw(st.integers(1, 3))))
+    else:
+        d = draw(st.sampled_from([2, 3, 5, 6, 7]))
+        b = draw(st.integers(-2, 2))
+        q = zp([b * b - d, -2 * b, 1])          # roots b +- sqrt(d)
+        lo, hi = draw(st.sampled_from(isolate_real_roots(q)))
+        alpha = AlgebraicNumber(q, lo, hi)
+    windows = draw(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)),
+                            min_size=1, max_size=4))
+    return G, alpha, windows
+
+
+@given(_scene_at_alpha())
+@settings(max_examples=80, deadline=None)
+def test_subresultant_signs_match_sympy(case):
+    sp = pytest.importorskip("sympy")
+    G, alpha, windows = case
+    c, s = sp.symbols("c s")
+    expr = sum((sum(a * c**i for i, a in enumerate(co)) * s**k
+                for k, co in enumerate(G.coeffs)), sp.Integer(0))
+    a = _sympy_value(sp, alpha)
+    g = sp.Poly(sp.expand(expr.subs(c, a)), s, extension=True)
+    if g.degree() < 1:
+        return
+    seq = SturmHabicht.of(G).at(alpha)
+    assert seq.p == g.degree()
+    gcd = sp.gcd(g, g.diff(s))
+    assert seq.gcd_degree(alpha) == gcd.degree()
+    sqf = sp.quo(g, gcd)
+    roots = [r for r in sp.Poly(sqf, s).nroots(n=40) if abs(sp.im(r)) < 1e-25]
+    assert seq.real_root_count(alpha) == len(roots)
+    for lo, width in windows:
+        lo, hi = Fraction(lo, 3), Fraction(lo + width, 3)
+        if seq.sign_at(alpha, lo) == 0 or seq.sign_at(alpha, hi) == 0:
+            continue
+        expected = sum(1 for r in roots if lo < sp.re(r) <= hi)
+        assert seq.count_roots(alpha, lo, hi) == expected

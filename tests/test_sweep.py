@@ -70,6 +70,26 @@ def test_quartic_flat_tangency_rejected():
     assert abs(exc.value.witness_dict()["parameter"]) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("coeffs, verdict", [
+    # G(c, s) by powers of s; at c = 0 the gcd of G and G_s has degree k
+    ([(1, 0, 1), (), (-2,), (), (1,)], "two simultaneous"),     # (s^2-1)^2 + c^2, k = 2
+    ([(2, 0, 1), (), (5,), (), (4,), (), (1,)], None),           # (s^2+1)^2 (s^2+2) + c^2
+    ([(-2, 0, 1), (5,), (-3,), (-1,), (1,)], "multiplicity"),   # (s-1)^3 (s+2) + c^2, k = 3
+    ([(1, 0, 1), (), (3,), (), (3,), (), (1,)], None),           # (s^2+1)^3 + c^2, k = 4
+    ([(36, 0, 1), (-132,), (193,), (-144,), (58,), (-12,), (1,)],
+     "two simultaneous"),                                       # ((s-1)(s-2)(s-3))^2 + c^2
+])
+def test_classification_branches(coeffs, verdict):
+    from trajspace.bivar import SPoly
+    from trajspace.events import component_events
+    if verdict is None:
+        events, _ = component_events(SPoly(coeffs), 0, 0, Fraction(-10), Fraction(10))
+        assert events == []
+    else:
+        with pytest.raises(DegenerateScene, match=verdict):
+            component_events(SPoly(coeffs), 0, 0, Fraction(-10), Fraction(10))
+
+
 def test_interval_structure_disk():
     out = sweep.interval_structure(load_fixture("disk.json"), Fraction(0))
     assert len(out["crossings"]) == 2
@@ -176,6 +196,24 @@ def test_constant_field_any_direction(direction):
     g = sweep.build_trajectory_space(scene)
     assert (g.vertex_count, g.edge_count) == (4, 4)
     assert g.pattern_counts() == {(2,): 2, (1, 2, 1): 2}
+
+
+@pytest.mark.parametrize("direction", [([0, 1], [1, 1]), ([1, 1], [2, 1])])
+def test_leading_coefficient_drop(direction):
+    # x^2 y^4 + y^2 + x^2 - 1: along vertical lines the s-leading coefficient
+    # x^2 vanishes at x = 0, where G(0, s) drops from degree 4 to 2
+    from trajspace import report
+    scene = parse_scene({
+        "field": {"kind": "constant", "direction": list(direction)},
+        "outer": {"curve": {"type": "polynomial", "coeffs":
+                  [[2, 4, 1, 1], [0, 2, 1, 1], [2, 0, 1, 1], [0, 0, -1, 1]]},
+                  "inside_sign": 1},
+        "holes": [], "bbox": [[-2, 1], [2, 1], [-2, 1], [2, 1]]}, name="lcdrop")
+    doc, _ = report.analyze_scene_with_graph(scene)
+    assert doc["validation"]["ok"]
+    assert doc["trajectory_space"]["vertices"] == 2
+    assert doc["trajectory_space"]["pattern_counts"] == {"2": 2, "121": 0}
+    assert doc["homology"]["trajectory_space"]["betti"] == [1, 0]
 
 
 def test_radial_center_outside_everything():
