@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -118,19 +119,41 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _positive_rational(text):
+    """Fraction(text) if text is a positive p/q or decimal, else None.
+
+    Exponents have at most three digits: Fraction("1e-999999999") would
+    spend minutes building a huge integer.
+    """
+    if not re.fullmatch(r"\+?(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][+-]?\d{1,3})?)", text):
+        return None
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return value if value > 0 else None
+
+
 def cmd_oracle(args) -> int:
     try:
         pattern = omega.check_pattern(int(ch) for ch in args.pattern)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    observed = local_model.sampled_patterns(
-        pattern, args.samples, Fraction(args.magnitude), seed=args.seed)
+    magnitude = _positive_rational(args.magnitude)
+    if magnitude is None:
+        sys.stderr.write(f"error: --magnitude must be a positive rational such as 1/1000, "
+                         f"not {args.magnitude!r}\n")
+        return 1
+    if args.samples < 1:
+        sys.stderr.write(f"error: --samples must be at least 1, not {args.samples}\n")
+        return 1
+    observed = local_model.sampled_patterns(pattern, args.samples, magnitude, seed=args.seed)
     resolved = omega.resolutions(pattern)
     doc = {
         "pattern": omega.format_pattern(pattern),
         "samples": args.samples,
-        "magnitude": str(Fraction(args.magnitude)),
+        "magnitude": str(magnitude),
         "seed": args.seed,
         "observed": sorted("[" + " ".join(omega.format_pattern(p) for p in seq) + "]"
                            for seq in observed),

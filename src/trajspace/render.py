@@ -1,30 +1,84 @@
-"""SVG export of scenes: boundary curves, tangency data, tinted slabs."""
+"""SVG export of scenes: boundary curves, tangency data, tinted slabs.
+
+Boundary curves are drawn by marching squares over exact grid values: each
+value is the correctly rounded float of the rational F(x, y) at a rational
+sample point, the same as evaluating F in Fraction arithmetic gives.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .bivar import bp_eval
+from math import lcm
 
 SLAB_COLORS = ["#cfe8ff", "#ffe2c9", "#d9f2d0", "#f2d0e8", "#fff3b8",
                "#d0f0f2", "#e3d5ff", "#ffd6d6", "#e0e0c8", "#c8e0dc"]
 
 
+def _grid(start, step, n):
+    """The n + 1 rational sample points start + k * step, k = 0..n."""
+    return [Fraction(start + k * step).limit_denominator(10**6) for k in range(n + 1)]
+
+
+def _homogeneous_horner(coeffs, t, q):
+    """q^d * p(t / q) for integer p of degree d (coefficients low first)."""
+    h = coeffs[-1]
+    qk = 1
+    for c in reversed(coeffs[:-1]):
+        qk *= q
+        h = h * t + c * qk
+    return h
+
+
+def _grid_values(F, xs, ys):
+    """vals[i][j] == float(F(xs[i], ys[j])) exactly, for rational xs and ys.
+
+    With common denominators qx of the xs, qy of the ys and L of F's
+    coefficients, N = L * qx^degx * qy^degy * F(x, y) is an integer: each
+    column collapses F into integer coefficients of a polynomial in y, and
+    homogeneous Horner evaluates it at every y of the column.  N / D with
+    D = L * qx^degx * qy^degy is one int / int true division, which Python
+    rounds correctly, as Fraction.__float__ does; so each value equals the
+    float of F(x, y) evaluated in Fraction arithmetic bit for bit, and a
+    sample point on the curve gives exactly 0.0.
+    """
+    qx = lcm(*(x.denominator for x in xs))
+    qy = lcm(*(y.denominator for y in ys))
+    L = lcm(*(v.denominator for v in F.values()))
+    degx = max((i for i, _ in F), default=0)
+    degy = max((j for _, j in F), default=0)
+    C = [[0] * (degx + 1) for _ in range(degy + 1)]  # C[j][i]: x^i y^j, times L
+    for (i, j), v in F.items():
+        C[j][i] = v.numerator * (L // v.denominator)
+    D = L * qx**degx * qy**degy
+    Ys = [y.numerator * (qy // y.denominator) for y in ys]
+    vals = []
+    for x in xs:
+        X = x.numerator * (qx // x.denominator)
+        # L * qx^degx * (coefficient of y^j in F(x, y)), j = 0..degy
+        col = [_homogeneous_horner(row, X, qx) for row in C]
+        vals.append([_homogeneous_horner(col, Y, qy) / D for Y in Ys])
+    return vals
+
+
 def _marching_segments(F, bbox, n=160):
-    """Zero-set line segments of F on an n x n grid (floats; drawing only)."""
+    """Zero-set line segments of F on an n x n grid (floats; drawing only).
+
+    The grid values are exact: see _grid_values.
+    """
     x0, x1, y0, y1 = (float(v) for v in bbox)
     dx, dy = (x1 - x0) / n, (y1 - y0) / n
-    vals = [[float(bp_eval(F, Fraction(x0 + i * dx).limit_denominator(10**6),
-                           Fraction(y0 + j * dy).limit_denominator(10**6)))
-             for j in range(n + 1)] for i in range(n + 1)]
+    vals = _grid_values(F, _grid(x0, dx, n), _grid(y0, dy, n))
     segs = []
 
     def interp(xa, ya, va, xb, yb, vb):
         t = va / (va - vb)
         return (xa + t * (xb - xa), ya + t * (yb - ya))
 
+    neg = [[v < 0 for v in row] for row in vals]
     for i in range(n):
         for j in range(n):
+            if neg[i][j] == neg[i + 1][j] == neg[i + 1][j + 1] == neg[i][j + 1]:
+                continue  # no sign change on any edge of this cell
             corners = [
                 (x0 + i * dx, y0 + j * dy, vals[i][j]),
                 (x0 + (i + 1) * dx, y0 + j * dy, vals[i + 1][j]),
@@ -35,7 +89,7 @@ def _marching_segments(F, bbox, n=160):
             for k in range(4):
                 xa, ya, va = corners[k]
                 xb, yb, vb = corners[(k + 1) % 4]
-                if (va < 0 and vb >= 0) or (va >= 0 and vb < 0):
+                if (va < 0) != (vb < 0):
                     pts.append(interp(xa, ya, va, xb, yb, vb))
             if len(pts) >= 2:
                 segs.append((pts[0], pts[1]))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from trajspace.cli import main
 
 from conftest import fixture_path
@@ -99,6 +101,28 @@ def test_oracle_1221(capsys):
 
 def test_oracle_bad_pattern(capsys):
     assert run(capsys, "oracle", "--pattern", "21")[0] == 1
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--magnitude", "abc"), ("--magnitude", "0"), ("--magnitude", "-1/2"),
+    ("--magnitude", "1/0"), ("--magnitude", "1e-99999"),
+    ("--samples", "0"), ("--samples", "-3"),
+])
+def test_oracle_bad_arguments(capsys, flag, value):
+    code = main(["oracle", "--pattern", "121", f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must")
+
+
+@pytest.mark.parametrize("value,exact", [("1/1000", "1/1000"), ("0.25", "1/4"),
+                                         ("2e-3", "1/500")])
+def test_oracle_magnitude_forms(capsys, value, exact):
+    code, out = run(capsys, "oracle", "--pattern", "121", "--samples", "5",
+                    f"--magnitude={value}")
+    assert code == 0
+    assert json.loads(out)["magnitude"] == exact
 
 
 def test_export_files(capsys, tmp_path):

@@ -1,8 +1,17 @@
+import pathlib
 import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from trajspace import render, sweep
+from trajspace.bivar import bp_eval, bp_mul
+from trajspace.omega import build_poset, export_hasse_dot
 
-from conftest import load_fixture
+from conftest import FIXTURES, analyzed, load_fixture
+
+FIGURES = pathlib.Path(__file__).resolve().parent.parent / "figures"
 
 
 def test_disk_svg_structure():
@@ -30,3 +39,87 @@ def test_scene_without_graph_renders_curves_only():
     svg = render.scene_svg(scene)
     assert "<line" in svg
     assert "stroke-dasharray" not in svg
+
+
+# --- the exact grid behind marching squares ---------------------------------
+
+coeff = st.fractions(-50, 50, max_denominator=60).filter(lambda v: v.denominator > 1)
+
+
+@st.composite
+def bipolys(draw, max_degree=6):
+    keys = draw(st.sets(st.tuples(st.integers(0, max_degree), st.integers(0, max_degree))
+                        .filter(lambda k: sum(k) <= max_degree), min_size=1, max_size=10))
+    return {k: draw(coeff) for k in keys}
+
+
+endpoint = st.fractions(-9, 9, max_denominator=12)
+
+
+@st.composite
+def grids(draw):
+    """Sample points as _marching_segments takes them for a random bbox."""
+    axes = []
+    for _ in range(2):
+        lo, hi = sorted(draw(st.lists(endpoint, min_size=2, max_size=2, unique=True)))
+        n = draw(st.integers(1, 12))
+        axes.append(render._grid(float(lo), (float(hi) - float(lo)) / n, n))
+    return axes
+
+
+def assert_grid_exact(F, xs, ys):
+    got = render._grid_values(F, xs, ys)
+    # bit for bit: hex() also tells 0.0 from -0.0
+    assert [[v.hex() for v in row] for row in got] == \
+        [[float(bp_eval(F, x, y)).hex() for y in ys] for x in xs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(bipolys(), grids())
+def test_grid_values_equal_exact_evaluation(F, axes):
+    assert_grid_exact(F, *axes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bipolys(max_degree=4), grids(), st.data())
+def test_grid_values_exact_zero_on_curve_through_grid_points(G, axes, data):
+    xs, ys = axes
+    a = data.draw(st.sampled_from(xs))
+    b = data.draw(st.sampled_from(ys))
+    F = bp_mul(bp_mul({(1, 0): Fraction(1), (0, 0): -a},
+                      {(0, 1): Fraction(1), (0, 0): -b}), G)
+    assert_grid_exact(F, xs, ys)
+    vals = render._grid_values(F, xs, ys)
+    assert all(vals[xs.index(a)][j] == 0.0 for j in range(len(ys)))
+    assert all(row[ys.index(b)] == 0.0 for row in vals)
+
+
+def test_grid_values_mixed_denominators():
+    # limit_denominator gives these sample points different denominators
+    n = 16
+    lo, hi = Fraction(-7, 3), Fraction(11, 5)
+    xs = render._grid(float(lo), (float(hi) - float(lo)) / n, n)
+    ys = render._grid(-1.5, 3.25 / n, n)
+    assert len({x.denominator for x in xs}) > 2
+    F = {(2, 0): Fraction(1, 3), (0, 2): Fraction(5, 7), (1, 1): Fraction(-2, 9),
+         (0, 0): Fraction(-11, 13), (3, 1): Fraction(1, 6)}
+    assert_grid_exact(F, xs, ys)
+
+
+# --- committed figures --------------------------------------------------------
+
+REGENERATE = "stale: rerun PYTHONPATH=src python3 scripts/render_figures.py"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_committed_scene_figures_are_current(name):
+    a = analyzed(name)
+    stem = name.removesuffix(".json")
+    assert (FIGURES / f"{stem}.svg").read_text() == render.scene_svg(a.scene, a.graph), REGENERATE
+    assert (FIGURES / f"{stem}.dot").read_text() == a.graph.to_dot(), REGENERATE
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_committed_poset_figures_are_current(n):
+    assert (FIGURES / f"poset_n{n}.dot").read_text() == export_hasse_dot(build_poset(n)), \
+        REGENERATE
