@@ -14,14 +14,17 @@ integer polynomials at alpha.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .polys import (
     ZP,
     zp,
     zp_add,
     zp_divexact,
+    zp_eval_fr,
     zp_mul,
     zp_neg,
+    zp_pow,
     zp_scale,
     zp_sub,
 )
@@ -67,30 +70,14 @@ def bp_restrict_line(a: BiPoly, px, py):
 
     Returns Fraction coefficients (low first) of the univariate restriction.
     """
-    px0, px1 = Fraction(px[0]), Fraction(px[1])
-    py0, py1 = Fraction(py[0]), Fraction(py[1])
+    px = (Fraction(px[0]), Fraction(px[1]))
+    py = (Fraction(py[0]), Fraction(py[1]))
     out = {}
     for (i, j), v in a.items():
-        # (px0 + px1 t)^i (py0 + py1 t)^j, expanded by convolution
-        xs = _binpow(px0, px1, i)
-        ys = _binpow(py0, py1, j)
-        for di, cx in enumerate(xs):
-            for dj, cy in enumerate(ys):
-                out[di + dj] = out.get(di + dj, Fraction(0)) + v * cx * cy
+        for k, c in enumerate(zp_mul(zp_pow(px, i), zp_pow(py, j))):
+            out[k] = out.get(k, Fraction(0)) + v * c
     n = max(out) + 1 if out else 0
     return [out.get(k, Fraction(0)) for k in range(n)]
-
-
-def _binpow(a: Fraction, b: Fraction, n: int):
-    """Coefficients of (a + b t)^n."""
-    coeffs = [Fraction(1)]
-    for _ in range(n):
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k] += c * a
-            nxt[k + 1] += c * b
-        coeffs = nxt
-    return coeffs
 
 
 class SPoly:
@@ -115,7 +102,6 @@ class SPoly:
 
     def at_param(self, c: Fraction):
         """Fraction coefficient list in s at a rational parameter value."""
-        from .polys import zp_eval_fr
         return [zp_eval_fr(co, c) for co in self.coeffs]
 
     def coeff(self, k: int) -> ZP:
@@ -162,7 +148,6 @@ def substitute_line_family(F: BiPoly, x_cs: BiPoly, y_cs: BiPoly) -> SPoly:
     # clear denominators globally (positive factor)
     den = 1
     for v in acc.values():
-        from math import gcd
         den = den * v.denominator // gcd(den, v.denominator)
     cols = []
     for k in range(deg_s + 1):

@@ -70,6 +70,8 @@ def _fr(v) -> Fraction:
     if isinstance(v, (list, tuple)):
         if len(v) != 2:
             raise SceneError(f"rational must be [num, den]: {v!r}")
+        if int(v[1]) == 0:
+            raise SceneError(f"zero denominator in {v!r}")
         return Fraction(int(v[0]), int(v[1]))
     if isinstance(v, int):
         return Fraction(v)
@@ -95,8 +97,14 @@ def _parse_curve(d) -> BiPoly:
         out = {}
         for entry in d["coeffs"]:
             i, j, num, den = entry
-            out[(int(i), int(j))] = out.get((int(i), int(j)), Fraction(0)) + Fraction(int(num), int(den))
-        return bp_normalize(out)
+            key = (int(i), int(j))
+            if min(key) < 0:
+                raise SceneError(f"negative exponent in {entry!r}")
+            out[key] = out.get(key, Fraction(0)) + _fr([num, den])
+        out = bp_normalize(out)
+        if not out:
+            raise SceneError("curve polynomial is identically zero")
+        return out
     raise SceneError(f"unknown curve type {kind!r}")
 
 

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from . import omega
+from .polys import zp_add, zp_mul, zp_pow, zp_scale
 from .realroots import real_roots_with_multiplicities
 
 __all__ = ["ModelPolynomial", "build_model", "sampled_patterns",
@@ -38,18 +40,23 @@ class ModelPolynomial:
         self.parameters[(i, l)] = Fraction(value)
 
     def coefficients(self):
-        """Low-first Fraction coefficients of the expanded polynomial in u."""
-        poly = [Fraction(1)]
+        """Low-first Fraction coefficients of the expanded polynomial in u.
+
+        Each factor is expanded over ZZ, scaled by the parameters' common
+        denominator; the product is divided by that scale once at the end.
+        """
+        den = lcm(*(x.denominator for x in self.parameters.values()))
+        poly = (1,)
         for i, m in enumerate(self.pattern, start=1):
-            factor = _shifted_power(-i, m)
+            factor = zp_scale(zp_pow((-i, 1), m), den)
             for l in range(m - 1):
                 x = self.parameters[(i, l)]
                 if x:
-                    shifted = _shifted_power(-i, l)
-                    for k, c in enumerate(shifted):
-                        factor[k] += x * c
-            poly = _mul(poly, factor)
-        return poly
+                    shifted = zp_scale(zp_pow((-i, 1), l), x.numerator * (den // x.denominator))
+                    factor = zp_add(factor, shifted)
+            poly = zp_mul(poly, factor)
+        scale = den ** len(self.pattern)
+        return [Fraction(c, scale) for c in poly]
 
     def real_roots(self):
         """Ordered (root, multiplicity) pairs of the current polynomial."""
@@ -59,27 +66,6 @@ class ModelPolynomial:
         """Patterns of the slices {model <= 0}, in increasing u order."""
         mults = [m for _, m in self.real_roots()]
         return tuple(omega.segment_patterns(mults))
-
-
-def _shifted_power(shift: int, n: int):
-    """Coefficients of (u + shift)^n."""
-    out = [Fraction(1)]
-    for _ in range(n):
-        nxt = [Fraction(0)] * (len(out) + 1)
-        for k, c in enumerate(out):
-            nxt[k] += c * shift
-            nxt[k + 1] += c
-        out = nxt
-    return out
-
-
-def _mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def build_model(pattern) -> ModelPolynomial:

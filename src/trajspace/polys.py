@@ -1,10 +1,19 @@
-"""Dense univariate polynomial arithmetic over ZZ and QQ.
+"""Dense univariate polynomial arithmetic over ZZ.
 
-Polynomials are tuples of ints (or Fractions at API boundaries), coefficients
-stored low degree first, normalized so the last entry is nonzero; the zero
-polynomial is the empty tuple.  Polynomials are kept over ZZ as primitive
-parts; gcds and Sturm chains run Euclid's algorithm with remainders over QQ
-(``qp_divmod``) and integerize each remainder.
+Polynomials are tuples of ints, coefficients stored low degree first,
+normalized so the last entry is nonzero; the zero polynomial is the empty
+tuple.  Fractions appear only at the boundaries: ``zp_from_fractions``
+clears denominators and ``zp_eval_fr`` evaluates at a rational.
+
+Division never leaves ZZ.  Gcds and Sturm chains run a primitive
+polynomial remainder sequence: each remainder is the primitive part of a
+pseudo-remainder (``zp_prem``) whose scale |lc|^e is positive, so it equals
+the primitive part of the remainder over QQ, signs included (Collins,
+JACM 1967; Basu, Pollack, Roy, Algorithms in Real Algebraic Geometry,
+ch. 8).  Quotients by a primitive divisor are exact over ZZ by Gauss's
+lemma (``zp_divexact``), which is how square-free parts and Yun's
+decomposition divide.  ``zp_mul`` and ``zp_pow`` only add and multiply, so
+they also expand tuples of Fractions.
 """
 
 from __future__ import annotations
@@ -121,112 +130,88 @@ def zp_sign_at(p: ZP, x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def qp_divmod(p, q):
-    """Division with remainder over QQ; inputs/outputs Fraction lists."""
-    p = [Fraction(c) for c in p]
-    q = [Fraction(c) for c in q]
-    while q and q[-1] == 0:
-        q.pop()
+def zp_prem(p: ZP, q: ZP) -> ZP:
+    """Pseudo-remainder r with |lc(q)|^e * p = quo * q + r and deg r < deg q,
+    where e = max(deg p - deg q + 1, 0).
+
+    The scale is positive, so r is a positive multiple of the remainder over
+    QQ and has its signs; its primitive part is that remainder's.
+    """
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    rem = p[:]
-    while len(rem) >= len(q) and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(q):
-            break
-        k = len(rem) - len(q)
-        f = rem[-1] / q[-1]
-        quo[k] = f
-        for i in range(len(q)):
-            rem[k + i] -= f * q[i]
-        rem.pop()
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quo, rem
+    if q[-1] < 0:
+        q = zp_neg(q)
+    lc, dq = q[-1], len(q) - 1
+    r = list(p)
+    e = max(len(r) - dq, 0)
+    while len(r) > dq:
+        top = r.pop()
+        k = len(r) - dq
+        r = [c * lc for c in r]
+        for i in range(dq):
+            r[k + i] -= top * q[i]
+        e -= 1
+        while r and r[-1] == 0:
+            r.pop()
+    return zp_scale(tuple(r), lc ** e)
 
 
 def zp_divexact(p: ZP, q: ZP) -> ZP:
-    """Exact division p / q over QQ, asserting zero remainder and ZZ result."""
-    quo, rem = qp_divmod(list(p), list(q))
-    if rem:
+    """The quotient p / q over ZZ; ArithmeticError unless q divides p there."""
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    lc, dq = q[-1], len(q) - 1
+    r = list(p)
+    quo = [0] * max(len(r) - dq, 0)
+    while len(r) > dq:
+        k = len(r) - 1 - dq
+        quo[k], m = divmod(r.pop(), lc)
+        if m:
+            raise ArithmeticError("inexact polynomial division")
+        for i in range(dq):
+            r[k + i] -= quo[k] * q[i]
+    if any(r):
         raise ArithmeticError("inexact polynomial division")
-    assert all(f.denominator == 1 for f in quo), "division left ZZ"
-    return zp(int(f) for f in quo)
+    return zp(quo)
 
 
 def zp_gcd(p: ZP, q: ZP) -> ZP:
     """Primitive gcd over ZZ (positive leading coefficient)."""
     a, b = zp_primitive(p), zp_primitive(q)
-    if not a:
-        g = b
-    elif not b:
-        g = a
-    else:
-        while b:
-            _, r = qp_divmod(list(a), list(b))
-            a, b = b, zp_from_fractions(r)
-        g = a
-    if g and g[-1] < 0:
-        g = zp_neg(g)
-    return g
+    while b:
+        a, b = b, zp_primitive(zp_prem(a, b))
+    return zp_neg(a) if a and a[-1] < 0 else a
 
 
 def zp_squarefree_part(p: ZP) -> ZP:
+    """Primitive square-free part of p with positive leading coefficient."""
     if zp_degree(p) < 1:
-        return zp_primitive(p) if p else ()
-    g = zp_gcd(p, zp_derivative(p))
-    if zp_degree(g) < 1:
-        q = zp_primitive(p)
-    else:
-        quo, rem = qp_divmod(list(p), list(g))
-        assert not rem
-        q = zp_from_fractions(quo)
+        return zp_primitive(p)
+    q = zp_divexact(zp_primitive(p), zp_gcd(p, zp_derivative(p)))
     return q if q[-1] > 0 else zp_neg(q)
 
 
-def _qp_deriv(p):
-    return [Fraction(i) * p[i] for i in range(1, len(p))]
-
-
-def _qp_sub(p, q):
-    n = max(len(p), len(q))
-    out = [(p[k] if k < len(p) else Fraction(0)) - (q[k] if k < len(q) else Fraction(0))
-           for k in range(n)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def zp_squarefree_decomposition(p: ZP):
-    """Yun's algorithm over QQ: returns [(factor, multiplicity), ...] with
+    """Yun's algorithm over ZZ: returns [(factor, multiplicity), ...] with
     factors primitive square-free pairwise-coprime ZPs of positive lead;
     the product of factor^mult equals p up to a rational constant."""
     if zp_degree(p) < 1:
         return []
-    g = zp_gcd(p, zp_derivative(p))
+    dp = zp_derivative(p)
+    g = zp_gcd(p, dp)
     if zp_degree(g) < 1:
         q = zp_primitive(p)
         return [(q if q[-1] > 0 else zp_neg(q), 1)]
-    f = [Fraction(c) for c in p]
-    w, r = qp_divmod(f, list(g))
-    assert not r
-    y, r = qp_divmod(_qp_deriv(f), list(g))
-    assert not r
-    z = _qp_sub(y, _qp_deriv(w))
+    w = zp_divexact(p, g)
+    z = zp_sub(zp_divexact(dp, g), zp_derivative(w))
     out = []
     i = 1
-    while len(w) - 1 >= 1:
-        a = zp_gcd(zp_from_fractions(w), zp_from_fractions(z))
+    while zp_degree(w) >= 1:
+        a = zp_gcd(w, z)
         if zp_degree(a) >= 1:
-            out.append((a if a[-1] > 0 else zp_neg(a), i))
-            w, r = qp_divmod(w, list(a))
-            assert not r
-            y, r = qp_divmod(z, list(a))
-            assert not r
-        else:
-            y = z
-        z = _qp_sub(y, _qp_deriv(w))
+            out.append((a, i))
+            w = zp_divexact(w, a)
+            z = zp_divexact(z, a)
+        z = zp_sub(z, zp_derivative(w))
         i += 1
     return out

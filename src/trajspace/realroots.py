@@ -1,9 +1,11 @@
 """Exact real-root isolation and real algebraic numbers.
 
-Sturm sequences over QQ (kept as primitive integer polynomials, which is
-sign-safe as long as rescaling constants stay positive) drive isolation and
-interval refinement.  An algebraic number is a square-free defining polynomial
-plus an isolating interval; the only primitive everything else reduces to is
+Sturm chains are primitive polynomial remainder sequences over ZZ: each
+entry is minus the primitive part of a pseudo-remainder with a positive
+scale (``polys.zp_prem``), so it has the signs of the Sturm remainder over
+QQ everywhere.  They drive isolation and interval refinement.  An
+algebraic number is a square-free defining polynomial plus an isolating
+interval; the only primitive everything else reduces to is
 ``AlgebraicNumber.sign_of``: the exact sign of another polynomial at the
 number.  Questions about polynomials with coefficients in QQ(alpha) are
 put as such signs by ``bivar.SturmHabicht``.
@@ -15,7 +17,6 @@ from fractions import Fraction
 
 from .polys import (
     ZP,
-    qp_divmod,
     zp,
     zp_degree,
     zp_derivative,
@@ -23,6 +24,8 @@ from .polys import (
     zp_from_fractions,
     zp_gcd,
     zp_neg,
+    zp_prem,
+    zp_primitive,
     zp_sign_at,
     zp_squarefree_decomposition,
     zp_squarefree_part,
@@ -33,8 +36,7 @@ def sturm_chain(p: ZP):
     """Sturm chain of a square-free integer polynomial."""
     chain = [p, zp_derivative(p)]
     while chain[-1]:
-        _, r = qp_divmod(list(chain[-2]), list(chain[-1]))
-        nr = zp_neg(zp_from_fractions(r))
+        nr = zp_neg(zp_primitive(zp_prem(chain[-2], chain[-1])))
         if not nr:
             break
         chain.append(nr)
@@ -163,7 +165,7 @@ class AlgebraicNumber:
         if self.is_rational:
             return zp_sign_at(q, self.lo)
         if len(q) >= len(self.poly):
-            q = zp_from_fractions(qp_divmod(list(q), list(self.poly))[1])
+            q = zp_primitive(zp_prem(q, self.poly))
             if not q:
                 return 0
         for _ in range(32):
@@ -217,8 +219,7 @@ class AlgebraicNumber:
             other.refine()
 
     def compare_rational(self, r: Fraction) -> int:
-        s = self.sign_of(zp([-r.numerator, r.denominator]))
-        return s
+        return self.sign_of(zp([-r.numerator, r.denominator]))
 
     def ratio_interval(self, num: ZP, den: ZP, width: Fraction):
         """Rationals lo <= num(alpha)/den(alpha) <= hi with hi - lo <= width,

@@ -116,7 +116,8 @@ def test_criterion_7_determinism_across_thread_counts(tmp_path):
     outs = []
     for hash_seed in ("0", "99"):
         out = tmp_path / f"r{hash_seed}.json"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        # the child imports trajspace from wherever this process does
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run(
             [sys.executable, "-m", "trajspace.cli", "analyze",
              fixture_path("annulus3.json"), "--out", str(out)],

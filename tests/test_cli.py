@@ -51,6 +51,22 @@ def test_analyze_malformed_exit_1(capsys, tmp_path):
     assert json.loads(out_file.read_text())["error"] == "PARSE"
 
 
+@pytest.mark.parametrize("curve", [
+    {"type": "circle", "center": [[0, 1], [0, 1]], "radius": [2, 0]},
+    {"type": "polynomial", "coeffs": [[2, 0, 1, 1], [0, 2, 1, 1], [-1, 0, 1, 1]]},
+    {"type": "polynomial", "coeffs": [[1, 0, 0, 1]]},
+])
+def test_analyze_bad_curve_is_one_parse_error(capsys, tmp_path, curve):
+    scene = tmp_path / "bad.json"
+    scene.write_text(json.dumps({
+        "field": {"kind": "constant", "direction": [[0, 1], [1, 1]]},
+        "outer": {"curve": curve, "inside_sign": 1}, "holes": [],
+        "bbox": [[-4, 1], [4, 1], [-4, 1], [4, 1]]}))
+    code, out = run(capsys, "analyze", str(scene))
+    assert code == 1
+    assert json.loads(out)["error"] == "PARSE"
+
+
 def test_analyze_missing_file_exit_1(capsys, tmp_path):
     out_file = tmp_path / "r.json"
     code, _ = run(capsys, "analyze", str(tmp_path / "nope.json"), "--out", str(out_file))

@@ -90,3 +90,24 @@ def test_parse_rejects_bad_docs():
         parse_scene({"nonsense": True})
     with pytest.raises(SceneError):
         parse_scene({"field": {"kind": "spiral"}, "outer": {}, "bbox": []})
+    disk = {"field": {"kind": "constant", "direction": [[0, 1], [1, 1]]},
+            "outer": {"curve": {"type": "circle", "center": [[0, 1], [0, 1]],
+                                "radius": [1, 1]}},
+            "bbox": [[-2, 1], [2, 1], [-2, 1], [2, 1]]}
+    bad_curves = [
+        ({"type": "circle", "center": [[0, 1], [0, 1]], "radius": [2, 0]}, "zero denominator"),
+        ({"type": "polynomial", "coeffs": [[2, 0, 1, 1], [0, 2, 1, 0], [0, 0, -1, 1]]},
+         "zero denominator"),
+        ({"type": "polynomial", "coeffs": [[2, 0, 1, 1], [-1, 0, 1, 1], [0, 0, -1, 1]]},
+         "negative exponent"),
+        ({"type": "polynomial", "coeffs": [[1, 0, 0, 1]]}, "identically zero"),
+        ({"type": "polynomial", "coeffs": [[2, 0, 1, 1], [2, 0, -1, 1]]}, "identically zero"),
+    ]
+    for curve, why in bad_curves:
+        with pytest.raises(SceneError, match=why):
+            parse_scene({**disk, "outer": {"curve": curve}})
+    with pytest.raises(SceneError, match="zero denominator"):
+        parse_scene({**disk, "field": {"kind": "constant", "direction": [[0, 1], [1, 0]]}})
+    with pytest.raises(SceneError, match="zero denominator"):
+        parse_scene({**disk, "bbox": [[-2, 1], [2, 1], [-2, 0], [2, 1]]})
+    parse_scene(disk)
