@@ -66,16 +66,22 @@ class Scene:
         return True
 
 
+def _int(v) -> int:
+    """A JSON integer; floats, booleans and strings are rejected, not cast."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SceneError(f"expected integer, got {v!r}")
+    return v
+
+
 def _fr(v) -> Fraction:
     if isinstance(v, (list, tuple)):
         if len(v) != 2:
             raise SceneError(f"rational must be [num, den]: {v!r}")
-        if int(v[1]) == 0:
+        num, den = _int(v[0]), _int(v[1])
+        if den == 0:
             raise SceneError(f"zero denominator in {v!r}")
-        return Fraction(int(v[0]), int(v[1]))
-    if isinstance(v, int):
-        return Fraction(v)
-    raise SceneError(f"expected rational, got {v!r}")
+        return Fraction(num, den)
+    return Fraction(_int(v))
 
 
 def circle_poly(cx, cy, r) -> BiPoly:
@@ -97,7 +103,7 @@ def _parse_curve(d) -> BiPoly:
         out = {}
         for entry in d["coeffs"]:
             i, j, num, den = entry
-            key = (int(i), int(j))
+            key = (_int(i), _int(j))
             if min(key) < 0:
                 raise SceneError(f"negative exponent in {entry!r}")
             out[key] = out.get(key, Fraction(0)) + _fr([num, den])
@@ -109,7 +115,7 @@ def _parse_curve(d) -> BiPoly:
 
 
 def _parse_component(d, role: str, name: str) -> BoundaryComponent:
-    sign = int(d.get("inside_sign", 1 if role == "outer" else -1))
+    sign = _int(d.get("inside_sign", 1 if role == "outer" else -1))
     if sign not in (-1, 1):
         raise SceneError("inside_sign must be +1 or -1")
     return BoundaryComponent(_parse_curve(d["curve"]), sign, role, name)

@@ -53,6 +53,13 @@ def sturm_variations_at(chain, x: Fraction) -> int:
     return sign_variations([zp_sign_at(q, x) for q in chain])
 
 
+def sturm_variations_at_inf(chain, direction: int) -> int:
+    """Sign variations of a chain at +inf (direction 1) or -inf (-1), read
+    from the leading coefficients."""
+    return sign_variations([(1 if q[-1] > 0 else -1) * (direction if len(q) % 2 == 0 else 1)
+                            for q in chain if q])
+
+
 def count_roots(chain, lo: Fraction, hi: Fraction) -> int:
     """Number of real roots in (lo, hi]."""
     return sturm_variations_at(chain, lo) - sturm_variations_at(chain, hi)

@@ -16,8 +16,13 @@ from fractions import Fraction
 from . import geometry
 from .bivar import substitute_line_family
 from .events import DegenerateScene, ParamEvent, component_events
-from .polys import zp_sign_at
-from .realroots import real_roots_with_multiplicities
+from .polys import zp_degree, zp_from_fractions, zp_sign_at, zp_squarefree_part
+from .realroots import (
+    real_roots_with_multiplicities,
+    sturm_chain,
+    sturm_variations_at,
+    sturm_variations_at_inf,
+)
 
 
 class MatchingAmbiguous(Exception):
@@ -235,8 +240,21 @@ def _isolate_sstar_window(ev: ParamEvent, radial: bool):
     raise MatchingAmbiguous("could not isolate the tangency point")
 
 
-def _count_before(roots, r_lo):
-    return sum(1 for r in roots if r.compare_rational(r_lo) <= 0)
+def _window_counts(coeffs, radial: bool, r_lo: Fraction, r_hi: Fraction):
+    """Distinct real roots of a sample line's crossing polynomial, counted
+    with one Sturm chain of its square-free part: (all of them, those at or
+    below r_lo, those strictly between r_lo and r_hi).  Radial lines count
+    only s > 0, and need 0 < r_lo; ``coeffs`` is the low-first Fraction list
+    of G(c, .)."""
+    p = zp_squarefree_part(zp_from_fractions(coeffs))
+    if zp_degree(p) < 1:
+        return 0, 0, 0
+    chain = sturm_chain(p)
+    start = sturm_variations_at(chain, Fraction(0)) if radial else sturm_variations_at_inf(chain, -1)
+    v_lo, v_hi = sturm_variations_at(chain, r_lo), sturm_variations_at(chain, r_hi)
+    # the chain counts (r_lo, r_hi]; a root at r_hi is not inside the window
+    inside = v_lo - v_hi - (zp_sign_at(p, r_hi) == 0)
+    return start - sturm_variations_at_inf(chain, 1), start - v_lo, inside
 
 
 class _EventMatch:
@@ -273,17 +291,7 @@ def _resolve_event(scene, spolys, q, ev: ParamEvent, left_cell: _Cell,
             f"crossing count changed by {nl - nr} across event at {float(ev.alpha):.6g}")
     richer_is_left = nl > nr
     r_lo, r_hi = _isolate_sstar_window(ev, radial)
-    G = spolys[ev.chart][K]
-
-    def window_roots_at(c, comp):
-        coeffs = spolys[ev.chart][comp].at_param(c)
-        roots = []
-        if any(coeffs):
-            for root, mult in real_roots_with_multiplicities(coeffs):
-                if radial and root.compare_rational(Fraction(0)) <= 0:
-                    continue
-                roots.append(root)
-        return roots
+    G = spolys[ev.chart]
 
     # probes straddling alpha, strictly inside the adjacent cells, converging
     # to alpha; rational event parameters need explicit geometric shrinking
@@ -296,44 +304,42 @@ def _resolve_event(scene, spolys, q, ev: ParamEvent, left_cell: _Cell,
             return r - gap_l / 2**k, r + gap_r / 2**k
         return ev.alpha.lo, ev.alpha.hi
 
-    pair_roots = None
-    j = None
+    # A pair of probes is accepted by Sturm counts alone: component K has its
+    # richer and poorer crossing counts there, exactly two crossings inside
+    # the s*-window (r_lo, r_hi) on the richer side and none on the poorer
+    # one, and no other component crosses that window on either side.  Then
+    # the pair born at s* is the richer side's crossings j and j+1, where j
+    # (the excision index) counts the crossings at or below r_lo, on both
+    # sides alike.  A rejected pair bisects alpha once and tries again.
+    def window_clear(c, comp):
+        return _window_counts(G[comp].at_param(c), radial, r_lo, r_hi)[2] == 0
+
     for attempt in range(300):
         a, b = probes(attempt)
         rich_c, poor_c = (a, b) if richer_is_left else (b, a)
-        rich_roots = window_roots_at(rich_c, K)
-        poor_roots = window_roots_at(poor_c, K)
-        if len(rich_roots) != max(nl, nr) or len(poor_roots) != min(nl, nr):
-            ev.alpha.refine()
-            continue
-        rwin = [i for i in range(len(rich_roots))
-                if rich_roots[i].compare_rational(r_lo) > 0
-                and rich_roots[i].compare_rational(r_hi) < 0]
-        pwin = [i for i in range(len(poor_roots))
-                if poor_roots[i].compare_rational(r_lo) > 0
-                and poor_roots[i].compare_rational(r_hi) < 0]
-        others_clear = True
-        for comp in range(len(spolys[ev.chart])):
-            if comp == K:
-                continue
-            for r in window_roots_at(rich_c, comp) + window_roots_at(poor_c, comp):
-                if r.compare_rational(r_lo) > 0 and r.compare_rational(r_hi) < 0:
-                    others_clear = False
-        if len(rwin) == 2 and rwin[1] == rwin[0] + 1 and not pwin and others_clear:
-            j = rwin[0]
-            if _count_before(poor_roots, r_lo) != _count_before(rich_roots, r_lo):
+        rich_n, j, rich_in = _window_counts(G[K].at_param(rich_c), radial, r_lo, r_hi)
+        poor_n, poor_j, poor_in = _window_counts(G[K].at_param(poor_c), radial, r_lo, r_hi)
+        if ((rich_n, poor_n, rich_in, poor_in) == (max(nl, nr), min(nl, nr), 2, 0)
+                and all(window_clear(c, comp) for comp in range(len(G)) if comp != K
+                        for c in (rich_c, poor_c))):
+            if poor_j != j:
                 raise MatchingAmbiguous("excision index mismatch across event")
-            pair_roots = (rich_roots[j], rich_roots[j + 1], rich_c)
             break
         ev.alpha.refine()
-    if pair_roots is None:
+    else:
         raise MatchingAmbiguous("pair localization did not converge")
 
     # between-the-pair region test on the richer side decides (2) vs (121)
-    lo_root, hi_root, rich_c = pair_roots
-    while lo_root.hi >= hi_root.lo:
+    roots = [r for r, _ in real_roots_with_multiplicities(G[K].at_param(rich_c))
+             if not radial or r.compare_rational(Fraction(0)) > 0]
+    lo_root, hi_root = roots[j], roots[j + 1]
+    for _ in range(4000):
+        if lo_root.hi < hi_root.lo:
+            break
         lo_root.refine()
         hi_root.refine()
+    else:
+        raise MatchingAmbiguous("could not separate the crossings at a tangency")
     mid = (lo_root.hi + hi_root.lo) / 2
     x, y = _field_line(scene, ev.chart, q, rich_c).point_at(mid)
     between_inside = scene.contains(x, y)

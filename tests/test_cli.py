@@ -4,7 +4,7 @@ import pytest
 
 from trajspace.cli import main
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 
 def run(capsys, *argv):
@@ -65,6 +65,19 @@ def test_analyze_bad_curve_is_one_parse_error(capsys, tmp_path, curve):
     code, out = run(capsys, "analyze", str(scene))
     assert code == 1
     assert json.loads(out)["error"] == "PARSE"
+
+
+def test_analyze_float_radius_is_parse_error(capsys, tmp_path):
+    scene = json.loads(open(fixture_path("disk.json")).read())
+    scene["outer"]["curve"]["radius"] = [2.9, 1]    # not silently read as radius 2
+    scene_file = tmp_path / "disk29.json"
+    scene_file.write_text(json.dumps(scene))
+    code, out = run(capsys, "analyze", str(scene_file))
+    assert code == 1
+    assert "Traceback" not in out
+    doc = json.loads(out)
+    assert doc["error"] == "PARSE"
+    assert "2.9" in doc["message"]
 
 
 def test_analyze_missing_file_exit_1(capsys, tmp_path):
@@ -180,6 +193,19 @@ def test_golden_reports(capsys, tmp_path):
         code, _ = run(capsys, "analyze", fixture_path(f"{name}.json"), "--out", str(out))
         assert code == 0
         assert out.read_text() == (golden_dir / f"{name}.report.json").read_text()
+
+
+TILTED = sorted((FIXTURES.parent / "perfbench" / "scenes" / "tilted").glob("*.json"))
+
+
+@pytest.mark.parametrize("scene", TILTED, ids=lambda p: p.stem)
+def test_golden_tilted_reports(capsys, tmp_path, scene):
+    # quartic and sextic scenes under non-axis fields, pinned byte for byte
+    golden = FIXTURES.parent / "tests" / "golden" / "tilted" / f"{scene.stem}.report.json"
+    out = tmp_path / "r.json"
+    code, _ = run(capsys, "analyze", str(scene), "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_strict_flag_passes_on_good_scene(capsys, tmp_path):

@@ -110,4 +110,21 @@ def test_parse_rejects_bad_docs():
         parse_scene({**disk, "field": {"kind": "constant", "direction": [[0, 1], [1, 0]]}})
     with pytest.raises(SceneError, match="zero denominator"):
         parse_scene({**disk, "bbox": [[-2, 1], [2, 1], [-2, 0], [2, 1]]})
+    # only JSON integers are read as integers: no float, bool or string is cast
+    for radius in ([2.9, 1], [2, 1.0], [True, 1], ["2", 1], 2.5, False):
+        with pytest.raises(SceneError, match="expected integer"):
+            parse_scene({**disk, "outer": {"curve": {**disk["outer"]["curve"],
+                                                     "radius": radius}}})
+    bad_entries = [[2.0, 0, 1, 1], [2, True, 1, 1], [2, 0, 1.5, 1], [2, 0, 1, "1"]]
+    for entry in bad_entries:
+        curve = {"type": "polynomial", "coeffs": [entry, [0, 2, 1, 1], [0, 0, -1, 1]]}
+        with pytest.raises(SceneError, match="expected integer"):
+            parse_scene({**disk, "outer": {"curve": curve}})
+    for sign in (1.0, True, "1"):
+        with pytest.raises(SceneError, match="expected integer"):
+            parse_scene({**disk, "outer": {**disk["outer"], "inside_sign": sign}})
+    with pytest.raises(SceneError, match="expected integer"):
+        parse_scene({**disk, "field": {"kind": "constant", "direction": [[0, 1], [0.5, 1]]}})
+    with pytest.raises(SceneError, match="expected integer"):
+        parse_scene({**disk, "bbox": [[-2, 1], [2, 1], [-2, 1], 2.0]})
     parse_scene(disk)
