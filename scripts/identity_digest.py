@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Print one sha256 per scene over its report, DOT and SVG.
+"""Print one sha256 per scene over its report, DOT and SVG, and one over
+the sampling oracle.
 
 Covers every fixture, degenerate fixture and tilted benchmark scene.  Each
 scene goes through `trajspace analyze --svg --dot` in process; the digest
 covers the exit code and the three outputs (a rejected scene has only a
-report).  Run it on two checkouts and diff the outputs to show that a
-change keeps every output byte for byte:
+report).  The last line covers the oracle's observed pattern sets for all
+30 patterns of norm <= 8 (200 samples of magnitude 1/1000, seed 0), which
+depend on root isolation but on no scene.  Run it on two checkouts and diff
+the outputs to show that a change keeps every output byte for byte:
 
     PYTHONPATH=src python scripts/identity_digest.py > digests.txt
 """
@@ -16,7 +19,9 @@ import io
 import pathlib
 import sys
 import tempfile
+from fractions import Fraction
 
+from trajspace import local_model, omega
 from trajspace.cli import main as cli_main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -38,12 +43,23 @@ def scene_digest(path, tmp):
     return h.hexdigest()
 
 
+def oracle_digest():
+    patterns = [p for p in omega.enumerate_patterns(7) if omega.norm(p) <= 8]
+    h = hashlib.sha256()
+    for p in patterns:
+        observed, _, _ = local_model.oracle_containment(p, 200, Fraction(1, 1000), seed=0)
+        h.update(f"{p} {sorted(observed)}\n".encode())
+    return h.hexdigest(), len(patterns)
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         for d in SCENE_DIRS:
             for path in sorted(d.glob("*.json")):
                 name = path.relative_to(ROOT)
                 print(f"{scene_digest(path, pathlib.Path(tmp))}  {name}", flush=True)
+    digest, count = oracle_digest()
+    print(f"{digest}  oracle: {count} patterns of norm <= 8")
     return 0
 
 

@@ -3,7 +3,14 @@
 Polynomials are tuples of ints, coefficients stored low degree first,
 normalized so the last entry is nonzero; the zero polynomial is the empty
 tuple.  Fractions appear only at the boundaries: ``zp_from_fractions``
-clears denominators and ``zp_eval_fr`` evaluates at a rational.
+clears denominators on the way in, and ``zp_eval_fr`` builds one Fraction
+on the way out.
+
+Evaluation at a rational n/d is homogeneous and stays in ZZ:
+``zp_eval_hom`` returns d**deg * p(n/d) by Horner's rule, carrying the
+power of d from step to step.  Its sign is the sign of p(n/d), so sign
+tests (``zp_sign_at``), Sturm variations and interval bounds never build a
+Fraction.
 
 Division never leaves ZZ.  Gcds and Sturm chains run a primitive
 polynomial remainder sequence: each remainder is the primitive part of a
@@ -108,26 +115,30 @@ def zp_primitive(p: ZP) -> ZP:
     return tuple(c // g for c in p)
 
 
-def zp_eval_fr(p: ZP, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+def zp_eval_hom(p: ZP, num: int, den: int) -> int:
+    """den**deg * p(num/den) for den > 0, by integer Horner; 0 for p = 0.
 
-
-def zp_sign_at(p: ZP, x: Fraction) -> int:
-    """Exact sign of p(x) for rational x, via integer Horner.
-
-    Computes p(x) * den**deg, which has the same sign as p(x).
+    The result has the sign of p(num/den).
     """
     if not p:
         return 0
-    num, den = x.numerator, x.denominator
-    acc = 0
-    deg = len(p) - 1
-    for i in range(deg, -1, -1):
-        acc = acc * num + p[i] * den ** (deg - i)
-    return (acc > 0) - (acc < 0)
+    acc, dpow = p[-1], 1
+    for c in reversed(p[:-1]):
+        dpow *= den
+        acc = acc * num + c * dpow
+    return acc
+
+
+def zp_eval_fr(p: ZP, x: Fraction) -> Fraction:
+    """p(x) for rational x."""
+    return Fraction(zp_eval_hom(p, x.numerator, x.denominator),
+                    x.denominator ** max(len(p) - 1, 0))
+
+
+def zp_sign_at(p: ZP, x: Fraction) -> int:
+    """Exact sign of p(x) for rational x."""
+    v = zp_eval_hom(p, x.numerator, x.denominator)
+    return (v > 0) - (v < 0)
 
 
 def zp_prem(p: ZP, q: ZP) -> ZP:

@@ -3,7 +3,12 @@
 Sturm chains are primitive polynomial remainder sequences over ZZ: each
 entry is minus the primitive part of a pseudo-remainder with a positive
 scale (``polys.zp_prem``), so it has the signs of the Sturm remainder over
-QQ everywhere.  They drive isolation and interval refinement.  An
+QQ everywhere.  They drive isolation and interval refinement.  Every sign
+at a rational point is the sign of a homogeneous integer value
+(``polys.zp_eval_hom``): Sturm variations, the interval bounds of
+``_poly_range``, and the bisection of ``isolate_real_roots``, which keeps
+its endpoints as integer numerators over the denominator D * 2**k at depth
+k.  Fractions are built only for the intervals handed out.  An
 algebraic number is a square-free defining polynomial plus an isolating
 interval; the only primitive everything else reduces to is
 ``AlgebraicNumber.sign_of``: the exact sign of another polynomial at the
@@ -14,6 +19,7 @@ put as such signs by ``bivar.SturmHabicht``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .polys import (
     ZP,
@@ -21,6 +27,7 @@ from .polys import (
     zp_degree,
     zp_derivative,
     zp_eval_fr,
+    zp_eval_hom,
     zp_from_fractions,
     zp_gcd,
     zp_neg,
@@ -43,14 +50,18 @@ def sturm_chain(p: ZP):
     return chain
 
 
-def sign_variations(signs) -> int:
-    """Sign changes in a sequence of -1/0/1, zeros skipped."""
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+# Refinement steps any one loop may take before it gives up
+REFINE_BUDGET = 4000
+
+
+def sign_variations(values) -> int:
+    """Sign changes in a sequence of numbers, zeros skipped."""
+    positive = [v > 0 for v in values if v]
+    return sum(1 for a, b in zip(positive, positive[1:]) if a != b)
 
 
 def sturm_variations_at(chain, x: Fraction) -> int:
-    return sign_variations([zp_sign_at(q, x) for q in chain])
+    return sign_variations([zp_eval_hom(q, x.numerator, x.denominator) for q in chain])
 
 
 def sturm_variations_at_inf(chain, direction: int) -> int:
@@ -83,36 +94,50 @@ def isolate_real_roots(p: ZP):
         return []
     chain = sturm_chain(p)
     b = root_bound(p)
+    den = b.denominator
     out = []
 
-    def recurse(lo, hi, nlo, nhi):
+    def values(num, k):
+        # chain values at num / (den * 2**k); the first is p's
+        return [zp_eval_hom(q, num, den << k) for q in chain]
+
+    def recurse(lo, hi, k, nlo, nhi):
+        # the interval from lo / (den * 2**k) to hi / (den * 2**k)
         n = nlo - nhi
         if n == 0:
             return
         if n == 1:
             # shrink away from endpoints that are roots of p: Cauchy-bound
             # endpoints never are, and midpoints are root-checked below
-            out.append((lo, hi))
+            out.append((Fraction(lo, den << k), Fraction(hi, den << k)))
             return
-        mid = (lo + hi) / 2
-        if zp_sign_at(p, mid) == 0:
-            out.append((mid, mid))
-            eps = (hi - lo) / 4
-            while True:
-                if zp_sign_at(p, mid - eps) != 0 and zp_sign_at(p, mid + eps) != 0:
-                    nml = sturm_variations_at(chain, mid - eps)
-                    nmr = sturm_variations_at(chain, mid + eps)
-                    if nml - nmr == 1:  # bracket holds only the found root
-                        break
-                eps /= 2
-            recurse(lo, mid - eps, nlo, nml)
-            recurse(mid + eps, hi, nmr, nhi)
+        mid = lo + hi  # at depth k + 1
+        vals = values(mid, k + 1)
+        if vals[0]:
+            nm = sign_variations(vals)
+            recurse(2 * lo, mid, k + 1, nlo, nm)
+            recurse(mid, 2 * hi, k + 1, nm, nhi)
+            return
+        mid_fr = Fraction(mid, den << (k + 1))
+        out.append((mid_fr, mid_fr))
+        # eps starts at a quarter of the width and halves: at depth j its
+        # numerator is hi - lo and the midpoint's is mid * 2**(j - k - 1)
+        eps, j = hi - lo, k + 2
+        for _ in range(REFINE_BUDGET):
+            mid *= 2
+            left, right = values(mid - eps, j), values(mid + eps, j)
+            if left[0] and right[0]:
+                nml, nmr = sign_variations(left), sign_variations(right)
+                if nml - nmr == 1:  # bracket holds only the found root
+                    break
+            j += 1
         else:
-            nm = sturm_variations_at(chain, mid)
-            recurse(lo, mid, nlo, nm)
-            recurse(mid, hi, nm, nhi)
+            raise RuntimeError("root isolation did not separate a rational root")
+        recurse(lo << (j - k), mid - eps, j, nlo, nml)
+        recurse(mid + eps, hi << (j - k), j, nmr, nhi)
 
-    recurse(-b, b, sturm_variations_at(chain, -b), sturm_variations_at(chain, b))
+    bn = b.numerator
+    recurse(-bn, bn, 0, sign_variations(values(-bn, 0)), sign_variations(values(bn, 0)))
     out.sort(key=lambda iv: iv[0])
     return out
 
@@ -124,12 +149,13 @@ class AlgebraicNumber:
     arithmetic predicates (sign_of, compare) are exact.
     """
 
-    __slots__ = ("poly", "lo", "hi")
+    __slots__ = ("poly", "lo", "hi", "_lo_sign")
 
     def __init__(self, poly: ZP, lo: Fraction, hi: Fraction):
         self.poly = poly
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
+        self._lo_sign = None  # sign of poly at lo, set by the first refine
 
     @classmethod
     def from_rational(cls, r) -> "AlgebraicNumber":
@@ -144,15 +170,17 @@ class AlgebraicNumber:
         for _ in range(steps):
             if self.is_rational:
                 return
+            if self._lo_sign is None:
+                self._lo_sign = zp_sign_at(self.poly, self.lo)
             mid = (self.lo + self.hi) / 2
             s = zp_sign_at(self.poly, mid)
             if s == 0:
                 self.lo = self.hi = mid
                 return
-            if zp_sign_at(self.poly, self.lo) * s < 0:
+            if self._lo_sign * s < 0:
                 self.hi = mid
             else:
-                self.lo = mid
+                self.lo, self._lo_sign = mid, s
 
     def refine_below(self, width: Fraction) -> None:
         while not self.is_rational and self.hi - self.lo >= width:
@@ -176,7 +204,7 @@ class AlgebraicNumber:
             if not q:
                 return 0
         for _ in range(32):
-            lo, hi = _poly_range(q, self.lo, self.hi)
+            lo, hi = _poly_range(q, self.lo, self.hi)[:2]
             if lo > 0 or hi < 0:
                 return 1 if lo > 0 else -1
             self.refine()
@@ -185,11 +213,12 @@ class AlgebraicNumber:
         g = zp_gcd(self.poly, q)
         if zp_degree(g) >= 1 and count_roots(sturm_chain(g), self.lo, self.hi) > 0:
             return 0
-        qsf = zp_squarefree_part(q)
-        qchain = sturm_chain(qsf)
-        while count_roots(qchain, self.lo, self.hi) > 0:
+        qchain = sturm_chain(zp_squarefree_part(q))
+        for _ in range(REFINE_BUDGET):
+            if count_roots(qchain, self.lo, self.hi) == 0:
+                return zp_sign_at(q, (self.lo + self.hi) / 2)
             self.refine()
-        return zp_sign_at(q, (self.lo + self.hi) / 2)
+        raise RuntimeError("sign test did not converge")
 
     def equals(self, other: "AlgebraicNumber") -> bool:
         if self.is_rational and other.is_rational:
@@ -202,7 +231,7 @@ class AlgebraicNumber:
         if zp_degree(g) < 1:
             return False
         gchain = sturm_chain(g)
-        for _ in range(4000):
+        for _ in range(REFINE_BUDGET):
             lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
             if lo >= hi:
                 return False
@@ -217,13 +246,14 @@ class AlgebraicNumber:
     def compare(self, other: "AlgebraicNumber") -> int:
         if self.equals(other):
             return 0
-        while True:
+        for _ in range(REFINE_BUDGET):
             if self.hi < other.lo:
                 return -1
             if other.hi < self.lo:
                 return 1
             self.refine()
             other.refine()
+        raise RuntimeError("algebraic comparison did not converge")
 
     def compare_rational(self, r: Fraction) -> int:
         return self.sign_of(zp([-r.numerator, r.denominator]))
@@ -231,17 +261,18 @@ class AlgebraicNumber:
     def ratio_interval(self, num: ZP, den: ZP, width: Fraction):
         """Rationals lo <= num(alpha)/den(alpha) <= hi with hi - lo <= width,
         refining alpha as needed; den(alpha) must be nonzero."""
-        while True:
+        for _ in range(REFINE_BUDGET):
             if self.is_rational:
                 v = zp_eval_fr(num, self.lo) / zp_eval_fr(den, self.lo)
                 return v, v
-            nlo, nhi = _poly_range(num, self.lo, self.hi)
-            dlo, dhi = _poly_range(den, self.lo, self.hi)
-            if not dlo <= 0 <= dhi:
-                cands = [nlo / dlo, nlo / dhi, nhi / dlo, nhi / dhi]
+            nlo, nhi, nscale = _poly_range(num, self.lo, self.hi)
+            dlo, dhi, dscale = _poly_range(den, self.lo, self.hi)
+            if dlo > 0 or dhi < 0:
+                cands = [Fraction(n * dscale, d * nscale) for n in (nlo, nhi) for d in (dlo, dhi)]
                 if max(cands) - min(cands) <= width:
                     return min(cands), max(cands)
             self.refine()
+        raise RuntimeError("ratio interval did not converge")
 
     def __float__(self) -> float:
         if self.is_rational:
@@ -269,8 +300,7 @@ def real_roots_with_multiplicities(coeffs):
         for lo, hi in isolate_real_roots(factor):
             roots.append((AlgebraicNumber(factor, lo, hi), mult))
     # factors are pairwise coprime, so refinement separates all intervals
-    changed = True
-    while changed:
+    for _ in range(REFINE_BUDGET):
         changed = False
         for i in range(len(roots)):
             for j in range(i + 1, len(roots)):
@@ -281,18 +311,27 @@ def real_roots_with_multiplicities(coeffs):
                     a.refine()
                     b.refine()
                     changed = True
+        if not changed:
+            break
+    else:
+        raise RuntimeError("root separation did not converge")
     roots.sort(key=lambda rm: rm[0].lo)
     return roots
 
 
 def _poly_range(p: ZP, lo: Fraction, hi: Fraction):
-    """Crude interval extension of p over [lo, hi] via endpoint + bound."""
+    """Crude interval extension of p over [lo, hi] via endpoint + bound.
+
+    Returns integers (a, b, e), e > 0, with p([lo, hi]) inside [a/e, b/e].
+    Over the common denominator d of lo and hi, e = d**deg(p): the endpoint
+    values are homogeneous, and the slack |p'|(m) * (hi - lo) bounds the
+    change of p, where |p'| has the absolute coefficients of p' and
+    m = max(|lo|, |hi|).
+    """
     if not p:
-        return Fraction(0), Fraction(0)
-    a, b = zp_eval_fr(p, lo), zp_eval_fr(p, hi)
-    dp = zp_derivative(p)
-    m = max(abs(lo), abs(hi))
-    # |p'| <= sum |c_i| m^i on the interval
-    bound = sum(abs(c) * m**i for i, c in enumerate(dp)) if dp else Fraction(0)
-    slack = bound * (hi - lo)
-    return min(a, b) - slack, max(a, b) + slack
+        return 0, 0, 1
+    d = lcm(lo.denominator, hi.denominator)
+    l, h = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    a, b = zp_eval_hom(p, l, d), zp_eval_hom(p, h, d)
+    slack = zp_eval_hom([abs(c) for c in zp_derivative(p)], max(abs(l), abs(h)), d) * (h - l)
+    return min(a, b) - slack, max(a, b) + slack, d ** (len(p) - 1)

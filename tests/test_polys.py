@@ -22,11 +22,18 @@ from trajspace.polys import (
     zp_squarefree_decomposition,
     zp_squarefree_part,
 )
-from trajspace.realroots import isolate_real_roots, sturm_chain
+from trajspace.realroots import _poly_range, isolate_real_roots, sturm_chain
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(zp)
 nonzero_polys = small_polys.filter(bool)
 chain_polys = st.lists(st.integers(-20, 20), min_size=2, max_size=9).map(zp)
+# coefficients as wide as the tilted scenes' resultants, and rationals with
+# large denominators, as deep refinement makes them
+wide_polys = st.lists(st.one_of(st.integers(-9, 9), st.integers(-2**240, 2**240)),
+                      max_size=9).map(zp)
+wide_rationals = st.builds(Fraction, st.integers(-2**90, 2**90),
+                           st.one_of(st.integers(1, 9), st.integers(1, 2**130),
+                                     st.integers(0, 130).map(lambda k: 2**k)))
 
 
 def qq_divmod(p, q):
@@ -43,6 +50,23 @@ def qq_divmod(p, q):
         while rem and rem[-1] == 0:
             rem.pop()
     return quo, rem
+
+
+def qq_horner(p, x):
+    """Reference: schoolbook Horner over QQ."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def qq_poly_range(p, lo, hi):
+    """Reference: the interval extension of ``_poly_range`` over QQ, with the
+    derivative bound sum |c_i| m^i."""
+    a, b = qq_horner(p, lo), qq_horner(p, hi)
+    m = max(abs(lo), abs(hi))
+    bound = sum(abs(c) * m**i for i, c in enumerate(zp_derivative(p)))
+    return min(a, b) - bound * (hi - lo), max(a, b) + bound * (hi - lo)
 
 
 def qq_sturm_chain(p):
@@ -79,6 +103,18 @@ def test_sign_at_matches_eval():
     assert zp_sign_at(p, Fraction(2)) == 0
     assert zp_sign_at(p, Fraction(0)) == -1
     assert zp_sign_at(p, Fraction(5, 2)) == 1
+
+
+@given(wide_polys, wide_rationals, wide_rationals)
+@settings(max_examples=300, deadline=None)
+def test_integer_evaluation_matches_qq_horner(p, x, y):
+    v = qq_horner(p, x)
+    assert zp_eval_fr(p, x) == v
+    assert zp_sign_at(p, x) == (v > 0) - (v < 0)
+    lo, hi = min(x, y), max(x, y)
+    a, b, e = _poly_range(p, lo, hi)
+    assert e > 0
+    assert (Fraction(a, e), Fraction(b, e)) == qq_poly_range(p, lo, hi)
 
 
 @given(small_polys, nonzero_polys)

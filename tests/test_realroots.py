@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trajspace import realroots
 from trajspace.bivar import SPoly, SturmHabicht
-from trajspace.polys import zp, zp_add, zp_mul
+from trajspace.polys import zp, zp_add, zp_mul, zp_squarefree_part
 from trajspace.realroots import (
     AlgebraicNumber,
     isolate_real_roots,
     real_roots_with_multiplicities,
+    root_bound,
     sturm_chain,
     count_roots,
 )
@@ -44,6 +46,150 @@ def test_adjacent_rational_roots_isolated():
     p = zp([15, -16, 4])  # (2x - 3)(2x - 5)
     ivs = isolate_real_roots(p)
     assert len(ivs) == 2
+
+
+def _qq_sign(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return (acc > 0) - (acc < 0)
+
+
+def qq_isolate(p):
+    """Reference: Sturm bisection of a square-free p on Fraction endpoints,
+    with Fraction Horner for every sign."""
+    chain = sturm_chain(p)
+
+    def var(x):
+        signs = [s for s in (_qq_sign(q, x) for q in chain) if s]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    out = []
+
+    def recurse(lo, hi, nlo, nhi):
+        if nlo - nhi == 0:
+            return
+        if nlo - nhi == 1:
+            out.append((lo, hi))
+            return
+        mid = (lo + hi) / 2
+        if _qq_sign(p, mid) == 0:
+            out.append((mid, mid))
+            eps = (hi - lo) / 4
+            while True:
+                if _qq_sign(p, mid - eps) != 0 and _qq_sign(p, mid + eps) != 0:
+                    nml, nmr = var(mid - eps), var(mid + eps)
+                    if nml - nmr == 1:
+                        break
+                eps /= 2
+            recurse(lo, mid - eps, nlo, nml)
+            recurse(mid + eps, hi, nmr, nhi)
+        else:
+            nm = var(mid)
+            recurse(lo, mid, nlo, nm)
+            recurse(mid, hi, nm, nhi)
+
+    b = root_bound(p)
+    recurse(-b, b, var(-b), var(b))
+    return sorted(out)
+
+
+@st.composite
+def midpoint_root_polys(draw):
+    """Square-free products of integer roots, rational linear factors and
+    small quadratics.  Integer roots often fall on bisection midpoints (0,
+    the first one, always does); roots close to them, down to 1/1000 away,
+    make the search for a bracket around such a root halve it many times."""
+    p = (draw(st.sampled_from([1, -1, 3])),)
+    for r in draw(st.lists(st.integers(-6, 6), max_size=4, unique=True)):
+        p = zp_mul(p, (-r, 1))
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            f = zp([-draw(st.integers(-12, 12)), draw(st.sampled_from([2, 3, 4, 8, 16, 1000]))])
+        else:
+            f = zp(draw(st.lists(st.integers(-30, 30), min_size=3, max_size=3)))
+        if len(f) >= 2:
+            p = zp_mul(p, f)
+    return zp_squarefree_part(p)
+
+
+@given(midpoint_root_polys())
+@settings(max_examples=200, deadline=None)
+def test_isolation_matches_fraction_bisection(p):
+    assert isolate_real_roots(p) == qq_isolate(p)
+
+
+def test_isolation_matches_fraction_bisection_on_midpoint_roots():
+    cases = [
+        ([0, Fraction(1, 1000)], 0),
+        ([Fraction(-1, 1000), 0, Fraction(1, 1000)], 0),
+        ([1, 2, 3], 3),  # bound 12: midpoints 0, 6, then 3
+        ([-2, Fraction(1998, 1000), 2, 5], 2),
+    ]
+    polys = [(poly_from_roots([Fraction(r) for r in roots]), root) for roots, root in cases]
+    polys.append((zp_mul(zp([0, 1]), zp([-5, 0, 1])), 0))  # 0 and +-sqrt(5)
+    for p, root in polys:
+        ivs = isolate_real_roots(p)
+        assert (Fraction(root), Fraction(root)) in ivs
+        assert ivs == qq_isolate(p)
+
+
+def test_refine_evaluates_once_per_step(monkeypatch):
+    alpha = AlgebraicNumber(zp([-2, 0, 1]), Fraction(1), Fraction(2))
+    ref_lo, ref_hi = Fraction(1), Fraction(2)
+    calls = []
+    sign_at = realroots.zp_sign_at
+    monkeypatch.setattr(realroots, "zp_sign_at", lambda p, x: calls.append(x) or sign_at(p, x))
+    alpha.refine(40)
+    for _ in range(40):  # the bisection that signs both ends every step
+        mid = (ref_lo + ref_hi) / 2
+        if _qq_sign(alpha.poly, ref_lo) * _qq_sign(alpha.poly, mid) < 0:
+            ref_hi = mid
+        else:
+            ref_lo = mid
+    assert (alpha.lo, alpha.hi) == (ref_lo, ref_hi)
+    assert len(calls) == 41  # the sign at the first lo, then one per step
+
+
+def _no_refine(monkeypatch):
+    monkeypatch.setattr(AlgebraicNumber, "refine", lambda self, steps=1: None)
+
+
+def test_compare_has_a_budget(monkeypatch):
+    sqrt2 = AlgebraicNumber(zp([-2, 0, 1]), Fraction(1), Fraction(2))
+    sqrt3 = AlgebraicNumber(zp([-3, 0, 1]), Fraction(1), Fraction(2))
+    _no_refine(monkeypatch)
+    with pytest.raises(RuntimeError):
+        sqrt2.compare(sqrt3)
+
+
+def test_sign_of_has_a_budget(monkeypatch):
+    sqrt2 = AlgebraicNumber(zp([-2, 0, 1]), Fraction(1), Fraction(2))
+    _no_refine(monkeypatch)
+    with pytest.raises(RuntimeError):
+        sqrt2.sign_of(zp([-3, 2]))  # 2u - 3 has its root inside (1, 2)
+
+
+def test_ratio_interval_has_a_budget(monkeypatch):
+    sqrt2 = AlgebraicNumber(zp([-2, 0, 1]), Fraction(1), Fraction(2))
+    _no_refine(monkeypatch)
+    with pytest.raises(RuntimeError):
+        sqrt2.ratio_interval(zp([0, 1]), zp([1]), Fraction(1, 10))
+
+
+def test_root_separation_has_a_budget(monkeypatch):
+    # (u^2 - 2)(u^2 - 3)^2: the two factors' isolating intervals overlap
+    p = zp_mul(zp([-2, 0, 1]), zp_mul(zp([-3, 0, 1]), zp([-3, 0, 1])))
+    _no_refine(monkeypatch)
+    with pytest.raises(RuntimeError):
+        real_roots_with_multiplicities(list(p))
+
+
+def test_midpoint_root_bracket_has_a_budget():
+    # roots 0 and 2**-5000: the bracket around the midpoint root 0 must
+    # halve about 5000 times, more than the budget allows
+    with pytest.raises(RuntimeError):
+        isolate_real_roots(zp([0, -1, 2**5000]))
 
 
 def test_multiplicities():
