@@ -5,10 +5,14 @@ the sampling oracle.
 Covers every fixture, degenerate fixture and tilted benchmark scene.  Each
 scene goes through `trajspace analyze --svg --dot` in process; the digest
 covers the exit code and the three outputs (a rejected scene has only a
-report).  The last line covers the oracle's observed pattern sets for all
-30 patterns of norm <= 8 (200 samples of magnitude 1/1000, seed 0), which
-depend on root isolation but on no scene.  Run it on two checkouts and diff
-the outputs to show that a change keeps every output byte for byte:
+report).  The seam line covers the same three outputs of the radial scene
+in `tests/test_sweep.py::test_seam_rotation_retry`, the one scene whose
+sweep rotates its charts (seam rotation 1/7), so its SVG draws trajectory
+lines through the rotated float view.  The last line covers the oracle's
+observed pattern sets for all 30 patterns of norm <= 8 (200 samples of
+magnitude 1/1000, seed 0), which depend on root isolation but on no scene.
+Run it on two checkouts and diff the outputs to show that a change keeps
+every output byte for byte:
 
     PYTHONPATH=src python scripts/identity_digest.py > digests.txt
 """
@@ -16,6 +20,7 @@ the outputs to show that a change keeps every output byte for byte:
 import contextlib
 import hashlib
 import io
+import json
 import pathlib
 import sys
 import tempfile
@@ -27,6 +32,16 @@ from trajspace.cli import main as cli_main
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENE_DIRS = [ROOT / "fixtures", ROOT / "fixtures" / "degenerate",
               ROOT / "perfbench" / "scenes" / "tilted"]
+SEAM_SCENE = {
+    "field": {"kind": "radial", "center": [[0, 1], [0, 1]]},
+    "outer": {"curve": {"type": "circle", "center": [[0, 1], [0, 1]], "radius": [4, 1]},
+              "inside_sign": 1},
+    "holes": [
+        {"curve": {"type": "circle", "center": [[0, 1], [0, 1]], "radius": [1, 1]},
+         "inside_sign": -1},
+        {"curve": {"type": "circle", "center": [[2, 5], [5, 2]], "radius": [2, 5]},
+         "inside_sign": -1}],
+    "bbox": [[-5, 1], [5, 1], [-5, 1], [5, 1]]}
 
 
 def scene_digest(path, tmp):
@@ -58,6 +73,9 @@ def main():
             for path in sorted(d.glob("*.json")):
                 name = path.relative_to(ROOT)
                 print(f"{scene_digest(path, pathlib.Path(tmp))}  {name}", flush=True)
+        seam = pathlib.Path(tmp) / "seamhole.json"
+        seam.write_text(json.dumps(SEAM_SCENE))
+        print(f"{scene_digest(seam, pathlib.Path(tmp))}  seam: radial scene rotated by 1/7", flush=True)
     digest, count = oracle_digest()
     print(f"{digest}  oracle: {count} patterns of norm <= 8")
     return 0

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bivar import BiPoly, bp_eval, bp_normalize, bp_restrict_line
+from .bivar import BiPoly, bp_eval, bp_normalize
 
 
 class SceneError(Exception):
@@ -158,7 +158,7 @@ def load_scene(path: str) -> Scene:
 
 @dataclass
 class Line:
-    """Rational line {base + t * direction}."""
+    """Line {base + t * direction}: rational, or the float view of one."""
     base: tuple
     direction: tuple
 
@@ -167,61 +167,43 @@ class Line:
                 self.base[1] + t * self.direction[1])
 
 
-def trajectory_line(fld: Field, parameter, chart: int = 0) -> Line:
-    """The trajectory line at a sweep parameter.
+def trajectory_line(fld: Field, c, chart: int = 0, q=0) -> Line:
+    """The trajectory line at sweep parameter c: the one statement of the
+    sweep's line family.
 
-    Constant field: parameter c offsets along n = (dy, -dx), so a vertical
-    field gives the line x = c.  Radial field: two half-turn charts with the
-    tan-half-angle parametrization, directions (1 - t^2, 2t) on chart 0 and
-    its negation on chart 1, t in [-1, 1).
+    Constant field: c offsets along n = (dy, -dx), so a vertical field gives
+    the line x = c.  Radial field: two half-turn charts with the
+    tan-half-angle parametrization, directions (1 - c^2, 2c) on chart 0 and
+    its negation on chart 1, c in [-1, 1), turned by the rotation whose
+    tan-half-angle is the seam rotation q (scaled by 1 + q^2, a positive
+    factor).  The arithmetic runs in c's type: exact for Fraction c and q,
+    the float view for a float c with a float q.
     """
-    p = Fraction(parameter)
     if fld.kind == "constant":
         dx, dy = fld.direction
-        return Line((p * dy, -p * dx), (dx, dy))
-    cx, cy = fld.center
-    dx, dy = 1 - p * p, 2 * p
-    if chart == 1:
-        dx, dy = -dx, -dy
-    return Line((cx, cy), (dx, dy))
-
-
-def restrict_to_line(F: BiPoly, line: Line):
-    """Exact substitution; Fraction coefficients in the line parameter."""
-    return bp_restrict_line(
-        F,
-        (line.base[0], line.direction[0]),
-        (line.base[1], line.direction[1]),
-    )
-
-
-def line_family(scene: Scene, chart: int = 0, seam_rotation: Fraction = Fraction(0)):
-    """(x(c, s), y(c, s)) BiPolys in (c, s) for the sweep family.
-
-    For constant fields there is a single chart; for radial ones, chart 0
-    covers the half-turn of directions around +x and chart 1 the opposite
-    half, optionally precomposed with a rational rotation to move the seam
-    off tangency parameters.  Positive overall rescalings are irrelevant.
-    """
-    fld = scene.field
-    if fld.kind == "constant":
-        dx, dy = fld.direction
-        x = bp_normalize({(1, 0): dy, (0, 1): dx})    # c * dy + s * dx
-        y = bp_normalize({(1, 0): -dx, (0, 1): dy})   # -c * dx + s * dy
-        return x, y
-    cx, cy = fld.center
-    q = Fraction(seam_rotation)
-    # rotation by angle with tan(half) = q: ((1-q^2, -2q), (2q, 1-q^2))/(1+q^2)
+        return Line((c * dy, -c * dx), (dx, dy))
     a, b = 1 - q * q, 2 * q
-    sign = 1 if chart == 0 else -1
-    # direction before rotation: (1 - c^2, 2c); after: rot * dir, scaled
-    dirx = {(0, 0): a * sign, (2, 0): -a * sign, (1, 0): -2 * b * sign}
-    diry = {(0, 0): b * sign, (2, 0): -b * sign, (1, 0): 2 * a * sign}
-    x = bp_normalize({(i + 0, j + 1): v for (i, j), v in dirx.items()})
-    y = bp_normalize({(i + 0, j + 1): v for (i, j), v in diry.items()})
-    x[(0, 0)] = Fraction(cx)
-    y[(0, 0)] = Fraction(cy)
-    return bp_normalize(x), bp_normalize(y)
+    sgn = 1 if chart == 0 else -1
+    ux, uy = 1 - c * c, 2 * c
+    return Line(fld.center, ((a * ux - b * uy) * sgn, (b * ux + a * uy) * sgn))
+
+
+def line_family(fld: Field, chart: int = 0, q: Fraction = Fraction(0)):
+    """(x(c, s), y(c, s)) BiPolys in (c, s) for the sweep family, the point
+    at s of trajectory_line(fld, c, chart, q).
+
+    Base and direction are at most quadratic in c, so their values at
+    c = 0, 1, -1 give their coefficients.
+    """
+    at = [trajectory_line(fld, Fraction(c), chart, Fraction(q)) for c in (0, 1, -1)]
+    family = []
+    for k in (0, 1):  # x, then y
+        bp = {}
+        for j, vals in enumerate(([ln.base[k] for ln in at], [ln.direction[k] for ln in at])):
+            f0, f1, fm = vals  # the values at c = 0, 1, -1
+            bp.update({(0, j): f0, (1, j): (f1 - fm) / 2, (2, j): (f1 + fm) / 2 - f0})
+        family.append(bp_normalize(bp))
+    return tuple(family)
 
 
 def sweep_param_range(scene: Scene):

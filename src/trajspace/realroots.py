@@ -146,7 +146,7 @@ class AlgebraicNumber:
     """A real algebraic number: square-free defining ZP + isolating interval.
 
     lo == hi encodes an exact rational.  The interval is refined in place;
-    arithmetic predicates (sign_of, compare) are exact.
+    arithmetic predicates (sign_of, equals) are exact.
     """
 
     __slots__ = ("poly", "lo", "hi", "_lo_sign")
@@ -243,18 +243,6 @@ class AlgebraicNumber:
             other.refine()
         raise RuntimeError("algebraic equality test did not converge")
 
-    def compare(self, other: "AlgebraicNumber") -> int:
-        if self.equals(other):
-            return 0
-        for _ in range(REFINE_BUDGET):
-            if self.hi < other.lo:
-                return -1
-            if other.hi < self.lo:
-                return 1
-            self.refine()
-            other.refine()
-        raise RuntimeError("algebraic comparison did not converge")
-
     def compare_rational(self, r: Fraction) -> int:
         return self.sign_of(zp([-r.numerator, r.denominator]))
 
@@ -300,23 +288,29 @@ def real_roots_with_multiplicities(coeffs):
         for lo, hi in isolate_real_roots(factor):
             roots.append((AlgebraicNumber(factor, lo, hi), mult))
     # factors are pairwise coprime, so refinement separates all intervals
-    for _ in range(REFINE_BUDGET):
-        changed = False
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                a, b = roots[i][0], roots[j][0]
-                alo, ahi = a.lo, a.hi
-                blo, bhi = b.lo, b.hi
-                if max(alo, blo) <= min(ahi, bhi) and not (a.is_rational and b.is_rational and alo != blo):
-                    a.refine()
-                    b.refine()
-                    changed = True
-        if not changed:
-            break
-    else:
-        raise RuntimeError("root separation did not converge")
+    separate([r for r, _ in roots])
     roots.sort(key=lambda rm: rm[0].lo)
     return roots
+
+
+def separate(numbers) -> None:
+    """Refine distinct algebraic numbers in place until their isolating
+    intervals are pairwise disjoint.
+
+    Each pass refines both numbers of every overlapping pair once.  Raises
+    RuntimeError after REFINE_BUDGET passes (equal numbers never separate).
+    """
+    for _ in range(REFINE_BUDGET):
+        done = True
+        for i, a in enumerate(numbers):
+            for b in numbers[i + 1:]:
+                if a.lo <= b.hi and b.lo <= a.hi:
+                    a.refine()
+                    b.refine()
+                    done = False
+        if done:
+            return
+    raise RuntimeError("isolating intervals did not separate")
 
 
 def _poly_range(p: ZP, lo: Fraction, hi: Fraction):

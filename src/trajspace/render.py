@@ -10,6 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .geometry import trajectory_line
+from .polys import zp_eval_hom
+
 SLAB_COLORS = ["#cfe8ff", "#ffe2c9", "#d9f2d0", "#f2d0e8", "#fff3b8",
                "#d0f0f2", "#e3d5ff", "#ffd6d6", "#e0e0c8", "#c8e0dc"]
 
@@ -19,27 +22,17 @@ def _grid(start, step, n):
     return [Fraction(start + k * step).limit_denominator(10**6) for k in range(n + 1)]
 
 
-def _homogeneous_horner(coeffs, t, q):
-    """q^d * p(t / q) for integer p of degree d (coefficients low first)."""
-    h = coeffs[-1]
-    qk = 1
-    for c in reversed(coeffs[:-1]):
-        qk *= q
-        h = h * t + c * qk
-    return h
-
-
 def _grid_values(F, xs, ys):
     """vals[i][j] == float(F(xs[i], ys[j])) exactly, for rational xs and ys.
 
     With common denominators qx of the xs, qy of the ys and L of F's
     coefficients, N = L * qx^degx * qy^degy * F(x, y) is an integer: each
     column collapses F into integer coefficients of a polynomial in y, and
-    homogeneous Horner evaluates it at every y of the column.  N / D with
-    D = L * qx^degx * qy^degy is one int / int true division, which Python
-    rounds correctly, as Fraction.__float__ does; so each value equals the
-    float of F(x, y) evaluated in Fraction arithmetic bit for bit, and a
-    sample point on the curve gives exactly 0.0.
+    ``polys.zp_eval_hom`` (homogeneous Horner) evaluates it at every y of
+    the column.  N / D with D = L * qx^degx * qy^degy is one int / int true
+    division, which Python rounds correctly, as Fraction.__float__ does; so
+    each value equals the float of F(x, y) evaluated in Fraction arithmetic
+    bit for bit, and a sample point on the curve gives exactly 0.0.
     """
     qx = lcm(*(x.denominator for x in xs))
     qy = lcm(*(y.denominator for y in ys))
@@ -55,8 +48,8 @@ def _grid_values(F, xs, ys):
     for x in xs:
         X = x.numerator * (qx // x.denominator)
         # L * qx^degx * (coefficient of y^j in F(x, y)), j = 0..degy
-        col = [_homogeneous_horner(row, X, qx) for row in C]
-        vals.append([_homogeneous_horner(col, Y, qy) / D for Y in Ys])
+        col = [zp_eval_hom(row, X, qx) for row in C]
+        vals.append([zp_eval_hom(col, Y, qy) / D for Y in Ys])
     return vals
 
 
@@ -140,13 +133,14 @@ def scene_svg(scene, graph=None) -> str:
     canvas = _Canvas(scene.bbox)
     # slabs first (underneath): approximate by the stored edge samples
     if graph is not None:
+        q = float(graph.seam_rotation)  # trajectory lines in the float view
         vertex_points = {v.id: v.event.point for v in graph.vertices}
         for k, e in enumerate(graph.edges):
             color = SLAB_COLORS[k % len(SLAB_COLORS)]
             band = []
             for chart, param, s_en, s_ex in sorted(e.samples):
-                line = _float_line(scene, chart, graph.seam_rotation, param)
-                band.append((param, (_along(line, s_en), _along(line, s_ex))))
+                line = trajectory_line(scene.field, param, chart, q)
+                band.append((param, (line.point_at(s_en), line.point_at(s_ex))))
             band.sort(key=lambda t: t[0])
             band = [pair for _, pair in band]
             # the slab pinches onto the endpoint event trajectories
@@ -169,8 +163,7 @@ def scene_svg(scene, graph=None) -> str:
             canvas.line(a, b, "#222222", width=1.4)
     if graph is not None:
         for v in graph.vertices:
-            line = _float_line(scene, v.event.chart, graph.seam_rotation,
-                               v.event.parameter)
+            line = trajectory_line(scene.field, v.event.parameter, v.event.chart, q)
             a, b = _clip_line(line, scene.bbox)
             canvas.line(a, b, "#d03030", width=1.0, dash="5,4")
             canvas.circle(v.event.point, 4.0, "#d03030")
@@ -178,25 +171,9 @@ def scene_svg(scene, graph=None) -> str:
     return canvas.to_svg()
 
 
-def _float_line(scene, chart, q, param):
-    if scene.field.kind == "constant":
-        dx, dy = (float(v) for v in scene.field.direction)
-        return ((param * dy, -param * dx), (dx, dy))
-    a, b = 1 - float(q) ** 2, 2 * float(q)
-    sgn = 1 if chart == 0 else -1
-    d0 = (1 - param * param, 2 * param)
-    d = ((a * d0[0] - b * d0[1]) * sgn, (b * d0[0] + a * d0[1]) * sgn)
-    return ((float(scene.field.center[0]), float(scene.field.center[1])), d)
-
-
-def _along(line, s):
-    (bx, by), (dx, dy) = line
-    return (bx + s * dx, by + s * dy)
-
-
 def _clip_line(line, bbox):
     x0, x1, y0, y1 = (float(v) for v in bbox)
-    (bx, by), (dx, dy) = line
+    (bx, by), (dx, dy) = line.base, line.direction
     lo, hi = -1e9, 1e9
     for (d, b, lo_b, hi_b) in ((dx, bx, x0, x1), (dy, by, y0, y1)):
         if abs(d) < 1e-15:
@@ -204,4 +181,4 @@ def _clip_line(line, bbox):
         t_a, t_b = (lo_b - b) / d, (hi_b - b) / d
         lo = max(lo, min(t_a, t_b))
         hi = min(hi, max(t_a, t_b))
-    return _along(line, lo), _along(line, hi)
+    return line.point_at(lo), line.point_at(hi)

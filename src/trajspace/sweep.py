@@ -19,6 +19,7 @@ from .events import DegenerateScene, ParamEvent, component_events
 from .polys import zp_degree, zp_from_fractions, zp_sign_at, zp_squarefree_part
 from .realroots import (
     real_roots_with_multiplicities,
+    separate,
     sturm_chain,
     sturm_variations_at,
     sturm_variations_at_inf,
@@ -137,19 +138,6 @@ class _Cell:
         return (self.order[en], self.order[ex])
 
 
-def _field_line(scene, chart, q, c: Fraction):
-    fld = scene.field
-    if fld.kind == "constant":
-        dx, dy = fld.direction
-        return geometry.Line((c * dy, -c * dx), (dx, dy))
-    a, b = 1 - q * q, 2 * q
-    sgn = 1 if chart == 0 else -1
-    d0 = (1 - c * c, 2 * c)
-    dx = (a * d0[0] - b * d0[1]) * sgn
-    dy = (b * d0[0] + a * d0[1]) * sgn
-    return geometry.Line(fld.center, (dx, dy))
-
-
 def _sample_cell(scene, spolys, chart, q, c: Fraction) -> _Cell:
     radial = scene.field.kind == "radial"
     comp_roots = []
@@ -169,22 +157,13 @@ def _sample_cell(scene, spolys, chart, q, c: Fraction) -> _Cell:
         comp_roots.append(roots)
     # merge across components; curves are disjoint so refinement separates
     tagged = [(ci, ri, r) for ci, rs in enumerate(comp_roots) for ri, r in enumerate(rs)]
-    for _ in range(4000):
-        tagged_ok = True
-        for i in range(len(tagged)):
-            for j in range(i + 1, len(tagged)):
-                a, b = tagged[i][2], tagged[j][2]
-                if max(a.lo, b.lo) <= min(a.hi, b.hi):
-                    a.refine()
-                    b.refine()
-                    tagged_ok = False
-        if tagged_ok:
-            break
-    else:
-        raise MatchingAmbiguous("could not separate crossings (intersecting curves?)")
+    try:
+        separate([r for _, _, r in tagged])
+    except RuntimeError as exc:
+        raise MatchingAmbiguous("could not separate crossings (intersecting curves?)") from exc
     tagged.sort(key=lambda t: t[2].lo)
     order = [(ci, ri) for ci, ri, _ in tagged]
-    line = _field_line(scene, chart, q, c)
+    line = geometry.trajectory_line(scene.field, c, chart, q)
     # gap g: 0 = below the first crossing, g = between crossings g-1 and g,
     # n = above the last crossing
     inside = []
@@ -332,16 +311,9 @@ def _resolve_event(scene, spolys, q, ev: ParamEvent, left_cell: _Cell,
     # between-the-pair region test on the richer side decides (2) vs (121)
     roots = [r for r, _ in real_roots_with_multiplicities(G[K].at_param(rich_c))
              if not radial or r.compare_rational(Fraction(0)) > 0]
-    lo_root, hi_root = roots[j], roots[j + 1]
-    for _ in range(4000):
-        if lo_root.hi < hi_root.lo:
-            break
-        lo_root.refine()
-        hi_root.refine()
-    else:
-        raise MatchingAmbiguous("could not separate the crossings at a tangency")
-    mid = (lo_root.hi + hi_root.lo) / 2
-    x, y = _field_line(scene, ev.chart, q, rich_c).point_at(mid)
+    # disjoint and sorted, as real_roots_with_multiplicities returns them
+    mid = (roots[j].hi + roots[j + 1].lo) / 2
+    x, y = geometry.trajectory_line(scene.field, rich_c, ev.chart, q).point_at(mid)
     between_inside = scene.contains(x, y)
     pattern = (2,) if between_inside else (1, 2, 1)
     return _EventMatch(ev, pattern, richer_is_left, (j, j + 1), j,
@@ -371,7 +343,7 @@ def _build_spolys(scene, q):
     charts = [0, 1] if scene.field.kind == "radial" else [0]
     spolys = {}
     for chart in charts:
-        x_cs, y_cs = geometry.line_family(scene, chart=chart, seam_rotation=q)
+        x_cs, y_cs = geometry.line_family(scene.field, chart, q)
         spolys[chart] = [substitute_line_family(comp.implicit, x_cs, y_cs)
                          for comp in scene.components]
     return spolys, charts
@@ -427,18 +399,8 @@ def _check_distinct_parameters(events):
                     (f"components {a.component},{b.component}",
                      float(a.alpha), (a.alpha.lo, a.alpha.hi)))
     # separate isolating intervals for a strict ordering
-    done = False
-    while not done:
-        done = True
-        for i in range(len(events)):
-            for j in range(i + 1, len(events)):
-                a, b = events[i], events[j]
-                if a.chart != b.chart:
-                    continue
-                if max(a.alpha.lo, b.alpha.lo) <= min(a.alpha.hi, b.alpha.hi):
-                    a.alpha.refine()
-                    b.alpha.refine()
-                    done = False
+    for chart in {e.chart for e in events}:
+        separate([e.alpha for e in events if e.chart == chart])
 
 
 def build_trajectory_space(scene) -> TrajectoryGraph:
@@ -597,8 +559,7 @@ def _apply_event(uf, i, j, match: _EventMatch, vid, edge_attach, scene, q):
     # tangency point, for reports and figures
     s_lo, s_hi = ev.s_star_interval(Fraction(1, 10**12))
     s_approx = float((s_lo + s_hi) / 2)
-    line = _field_line(scene, ev.chart, q, Fraction(ev.alpha.lo + ev.alpha.hi, 2)
-                       if not ev.alpha.is_rational else ev.alpha.lo)
+    line = geometry.trajectory_line(scene.field, (ev.alpha.lo + ev.alpha.hi) / 2, ev.chart, q)
     px, py = line.point_at(Fraction(s_approx).limit_denominator(10**9))
     event_rec = TangencyEvent(
         component=ev.component, chart=ev.chart, parameter=float(ev.alpha),

@@ -30,11 +30,13 @@ from .bivar import (
     sylvester_resultant,
 )
 from .events import multiple_root_params
+from .geometry import Field, line_family
 from .polys import zp_degree, zp_from_fractions, zp_squarefree_part
 from .realroots import (
     AlgebraicNumber,
     isolate_real_roots,
     real_roots_with_multiplicities,
+    separate,
 )
 
 
@@ -60,11 +62,12 @@ class ValidationReport:
         }
 
 
+_VERTICAL = line_family(Field("constant", direction=(Fraction(0), Fraction(1))))
+
+
 def _vertical_restriction(F):
     """SPoly of F along vertical lines x = c (s is the y coordinate)."""
-    x_cs = {(1, 0): Fraction(1)}
-    y_cs = {(0, 1): Fraction(1)}
-    return substitute_line_family(F, x_cs, y_cs)
+    return substitute_line_family(F, *_VERTICAL)
 
 
 def _real_common_root(A, B, alpha):
@@ -190,11 +193,7 @@ def _hole_witness(hole, scene):
         return None
     # between consecutive curve points, look for the hole's excluded side
     for i in range(len(roots) - 1):
-        a, b = roots[i], roots[i + 1]
-        while a.hi >= b.lo:
-            a.refine()
-            b.refine()
-        mid = (a.hi + b.lo) / 2
+        mid = (roots[i].hi + roots[i + 1].lo) / 2  # disjoint and sorted
         if hole.side_value(px, mid) > 0:  # inside the hole: excluded from X
             return (px, mid)
     return None
@@ -240,7 +239,7 @@ def validate_scene(scene) -> ValidationReport:
                    "" if (dx, dy) != (0, 0) else "FIELD_VANISHES: zero direction")
     else:
         cx, cy = fld.center
-        on_curve = any(_bp_eval_zero(comp, cx, cy) for comp in scene.components)
+        on_curve = any(comp.side_value(cx, cy) == 0 for comp in scene.components)
         bad = on_curve or scene.contains(cx, cy, strict=False)
         report.add("field_nonvanishing", not bad,
                    "" if not bad else "FIELD_VANISHES: radial center lies in X")
@@ -278,25 +277,13 @@ def interior_point(scene):
                 roots.extend(r for r, _ in real_roots_with_multiplicities(coeffs))
         if len(roots) < 2:
             continue
-        for _ in range(2000):
-            ok = True
-            for i in range(len(roots)):
-                for j in range(i + 1, len(roots)):
-                    a, b = roots[i], roots[j]
-                    if max(a.lo, b.lo) <= min(a.hi, b.hi):
-                        a.refine()
-                        b.refine()
-                        ok = False
-            if ok:
-                break
+        try:
+            separate(roots)
+        except RuntimeError:
+            pass  # the midpoints below are still exact tests
         roots.sort(key=lambda r: r.lo)
         for i in range(len(roots) - 1):
             mid = (roots[i].hi + roots[i + 1].lo) / 2
             if scene.contains(x, mid):
                 return (x, mid)
     return None
-
-
-def _bp_eval_zero(comp, x, y) -> bool:
-    from .bivar import bp_eval
-    return bp_eval(comp.implicit, Fraction(x), Fraction(y)) == 0

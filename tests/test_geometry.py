@@ -3,16 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajspace.bivar import bp_eval, bp_mul, bp_normalize
+from trajspace.bivar import bp_eval, bp_mul, bp_normalize, bp_restrict_line
 from trajspace.geometry import (
     Field,
-    Line,
     SceneError,
     circle_poly,
+    line_family,
     parse_scene,
-    restrict_to_line,
     trajectory_line,
 )
+from trajspace.sweep import SEAM_ROTATIONS
 
 UNIT_CIRCLE = circle_poly(0, 0, 1)
 
@@ -20,13 +20,6 @@ UNIT_CIRCLE = circle_poly(0, 0, 1)
 def test_circle_sugar():
     assert bp_eval(UNIT_CIRCLE, Fraction(1), Fraction(0)) == 0
     assert bp_eval(UNIT_CIRCLE, Fraction(0), Fraction(0)) == -1
-
-
-def test_vertical_trajectory_line():
-    fld = Field("constant", direction=(Fraction(0), Fraction(1)))
-    line = trajectory_line(fld, Fraction(3, 2))
-    assert line.point_at(Fraction(0))[0] == Fraction(3, 2)
-    assert line.point_at(Fraction(5))[0] == Fraction(3, 2)  # x = c throughout
 
 
 def test_radial_chart_zero_is_positive_x_axis():
@@ -42,19 +35,44 @@ def test_radial_second_chart_flips():
     assert line.direction[0] < 0
 
 
+rational = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+fields = st.one_of(
+    st.tuples(rational, rational).filter(any).map(
+        lambda d: Field("constant", direction=d)),
+    st.tuples(rational, rational).map(lambda c: Field("radial", center=c)),
+)
+
+
+@given(fields, st.sampled_from([0, 1]), st.sampled_from(SEAM_ROTATIONS), rational, rational)
+@settings(max_examples=200, deadline=None)
+def test_line_family_is_trajectory_line(fld, chart, q, c, s):
+    exact = trajectory_line(fld, c, chart, q).point_at(s)
+    x_cs, y_cs = line_family(fld, chart, q)
+    assert exact == (bp_eval(x_cs, c, s), bp_eval(y_cs, c, s))
+    approx = trajectory_line(fld, float(c), chart, float(q)).point_at(float(s))
+    assert all(abs(a - float(e)) <= 1e-9 for a, e in zip(approx, exact))
+
+
+@given(rational, rational)
+@settings(max_examples=40, deadline=None)
+def test_vertical_trajectory_line(c, s):
+    fld = Field("constant", direction=(Fraction(0), Fraction(1)))
+    assert line_family(fld) == ({(1, 0): 1}, {(0, 1): 1})
+    assert trajectory_line(fld, c).point_at(s) == (c, s)
+
+
 @pytest.mark.parametrize("line,expected", [
-    (Line((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))), [-1, 0, 1]),
-    (Line((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1))), [3, 0, 1]),
+    (((0, 0), (0, 1)), [-1, 0, 1]),   # x = 0, y = t
+    (((2, 0), (0, 1)), [3, 0, 1]),    # x = 2, y = t
 ])
 def test_restrict_unit_circle(line, expected):
-    got = restrict_to_line(UNIT_CIRCLE, line)
+    got = bp_restrict_line(UNIT_CIRCLE, *line)
     assert [Fraction(c) for c in got] == [Fraction(c) for c in expected]
 
 
 def test_restrict_offset_circle_on_ray():
     circle = circle_poly(3, 0, 1)
-    ray = Line((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
-    got = restrict_to_line(circle, ray)
+    got = bp_restrict_line(circle, (0, 1), (0, 0))
     # (t-3)^2 - 1 = t^2 - 6t + 8
     assert [Fraction(c) for c in got] == [8, -6, 1]
 
@@ -68,9 +86,9 @@ bipoly = st.dictionaries(
 @given(bipoly, bipoly, st.integers(-5, 5), st.integers(-5, 5), st.integers(-3, 3), st.integers(-3, 3))
 @settings(max_examples=80, deadline=None)
 def test_restrict_is_ring_homomorphism(F, G, bx, by, dx, dy):
-    line = Line((Fraction(bx), Fraction(by)), (Fraction(dx), Fraction(dy)))
-    prod = restrict_to_line(bp_mul(F, G), line)
-    f, g = restrict_to_line(F, line), restrict_to_line(G, line)
+    px, py = (Fraction(bx), Fraction(dx)), (Fraction(by), Fraction(dy))
+    prod = bp_restrict_line(bp_mul(F, G), px, py)
+    f, g = bp_restrict_line(F, px, py), bp_restrict_line(G, px, py)
     conv = [Fraction(0)] * (len(f) + len(g) - 1 if f and g else 1)
     for i, a in enumerate(f):
         for j, b in enumerate(g):

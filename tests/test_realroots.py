@@ -11,6 +11,7 @@ from trajspace.realroots import (
     isolate_real_roots,
     real_roots_with_multiplicities,
     root_bound,
+    separate,
     sturm_chain,
     count_roots,
 )
@@ -155,12 +156,12 @@ def _no_refine(monkeypatch):
     monkeypatch.setattr(AlgebraicNumber, "refine", lambda self, steps=1: None)
 
 
-def test_compare_has_a_budget(monkeypatch):
+def test_separate_has_a_budget(monkeypatch):
     sqrt2 = AlgebraicNumber(zp([-2, 0, 1]), Fraction(1), Fraction(2))
     sqrt3 = AlgebraicNumber(zp([-3, 0, 1]), Fraction(1), Fraction(2))
     _no_refine(monkeypatch)
     with pytest.raises(RuntimeError):
-        sqrt2.compare(sqrt3)
+        separate([sqrt2, sqrt3])
 
 
 def test_sign_of_has_a_budget(monkeypatch):
@@ -197,6 +198,29 @@ def test_multiplicities():
     p = zp_mul(zp_mul(zp([-1, 1]), zp([-1, 1])), zp([-3, 1]))
     rm = real_roots_with_multiplicities(list(p))
     assert [(float(r), m) for r, m in rm] == [(1.0, 2), (3.0, 1)]
+
+
+@given(st.lists(st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                          st.integers(1, 3)), max_size=4),
+       st.lists(st.tuples(st.sampled_from([2, 3, 5]), st.integers(1, 2)), max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_roots_come_out_disjoint_and_sorted(rational_roots, squares):
+    # prod (u - r)^m over rational roots, times prod (u^2 - k)^m for
+    # non-square k
+    p, expected = (1,), {}
+    for r, m in rational_roots:
+        for _ in range(m):
+            p = zp_mul(p, zp([-r.numerator, r.denominator]))
+        expected[r] = expected.get(r, 0) + m
+    for k, m in squares:
+        for _ in range(m):
+            p = zp_mul(p, zp([-k, 0, 1]))
+    rm = real_roots_with_multiplicities(list(p))
+    for (a, _), (b, _) in zip(rm, rm[1:]):
+        assert a.hi < b.lo
+    for r, m in expected.items():
+        assert [mult for root, mult in rm if root.lo <= r <= root.hi] == [m]
+    assert sum(m for _, m in rm) == sum(expected.values()) + 2 * sum(m for _, m in squares)
 
 
 def test_no_real_roots():
@@ -236,7 +260,8 @@ def test_algebraic_sign_and_compare():
     other = AlgebraicNumber(zp([-2, 0, 1]), Fraction(0), Fraction(3, 2))
     assert sqrt2.equals(other)
     neg = AlgebraicNumber(zp([-2, 0, 1]), Fraction(-2), Fraction(-1))
-    assert sqrt2.compare(neg) > 0
+    separate([sqrt2, neg])
+    assert neg.hi < sqrt2.lo
 
 
 def test_field_poly_gcd_detects_double_root():
