@@ -8,9 +8,12 @@ covers the exit code and the three outputs (a rejected scene has only a
 report).  The seam line covers the same three outputs of the radial scene
 in `tests/test_sweep.py::test_seam_rotation_retry`, the one scene whose
 sweep rotates its charts (seam rotation 1/7), so its SVG draws trajectory
-lines through the rotated float view.  The last line covers the oracle's
-observed pattern sets for all 30 patterns of norm <= 8 (200 samples of
-magnitude 1/1000, seed 0), which depend on root isolation but on no scene.
+lines through the rotated float view.  The last two lines cover the
+oracle's observed pattern sets for all 30 patterns of norm <= 8 (200
+samples, seed 0), which depend on root isolation but on no scene.  At
+magnitude 1/1000 every sample passes the window certificate of
+`local_model` and is isolated factor by factor; at magnitude 1/2 many
+samples fail it and take the expanded-product path.
 Run it on two checkouts and diff the outputs to show that a change keeps
 every output byte for byte:
 
@@ -58,11 +61,11 @@ def scene_digest(path, tmp):
     return h.hexdigest()
 
 
-def oracle_digest():
+def oracle_digest(magnitude):
     patterns = [p for p in omega.enumerate_patterns(7) if omega.norm(p) <= 8]
     h = hashlib.sha256()
     for p in patterns:
-        observed, _, _ = local_model.oracle_containment(p, 200, Fraction(1, 1000), seed=0)
+        observed, _, _ = local_model.oracle_containment(p, 200, magnitude, seed=0)
         h.update(f"{p} {sorted(observed)}\n".encode())
     return h.hexdigest(), len(patterns)
 
@@ -76,8 +79,10 @@ def main():
         seam = pathlib.Path(tmp) / "seamhole.json"
         seam.write_text(json.dumps(SEAM_SCENE))
         print(f"{scene_digest(seam, pathlib.Path(tmp))}  seam: radial scene rotated by 1/7", flush=True)
-    digest, count = oracle_digest()
-    print(f"{digest}  oracle: {count} patterns of norm <= 8")
+    digest, count = oracle_digest(Fraction(1, 1000))
+    print(f"{digest}  oracle: {count} patterns of norm <= 8", flush=True)
+    digest, count = oracle_digest(Fraction(1, 2))
+    print(f"{digest}  oracle: {count} patterns of norm <= 8, magnitude 1/2")
     return 0
 
 

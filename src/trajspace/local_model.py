@@ -8,6 +8,21 @@ with one rational perturbation coordinate per (i, l).  Freezing the
 parameters and reading off real roots with multiplicities gives the nearby
 trajectory patterns; sampling small random rational parameters is the
 numeric oracle that validates the combinatorial ``resolutions``.
+
+Roots are isolated one factor at a time.  In y = u - i the i-th factor is
+g_i(y) = y^m + sum_l x_l y^l; cleared of denominators it is
+den*y^m + sum_l c_l y^l.  Window certificate: if sum_l |c_l| 2^(m-l) < den,
+every root of g_i has |y| < 1/2, since for |y| >= 1/2
+
+    |g_i(y)| >= |y|^m (1 - sum_l |x_l| 2^(m-l)) > 0.
+
+When every factor passes, the factors' roots lie in the disjoint windows
+(i - 1/2, i + 1/2), so the product's ordered (root, multiplicity) list is
+the concatenation of the factors' lists in order of i, each root's defining
+polynomial Taylor-shifted back to u.  Otherwise (large parameters, where
+roots of two factors may meet and their multiplicities add) the expanded
+product is isolated as a whole.  A simple factor u - i has no parameters;
+its root is the integer i.
 """
 
 from __future__ import annotations
@@ -17,11 +32,11 @@ from fractions import Fraction
 from math import lcm
 
 from . import omega
-from .polys import zp_add, zp_mul, zp_pow, zp_scale
-from .realroots import real_roots_with_multiplicities
+from .polys import zp_mul, zp_shift
+from .realroots import AlgebraicNumber, real_roots_with_multiplicities
 
 __all__ = ["ModelPolynomial", "build_model", "sampled_patterns",
-           "chamber_count", "oracle_containment", "real_roots_with_multiplicities"]
+           "chamber_count", "oracle_containment"]
 
 
 class ModelPolynomial:
@@ -39,28 +54,59 @@ class ModelPolynomial:
             raise KeyError(f"no parameter x_({i},{l}) for pattern {self.pattern}")
         self.parameters[(i, l)] = Fraction(value)
 
+    def _factors(self):
+        """The factors in their shifted variables y = u - i, over ZZ.
+
+        Returns (den, [(i, g_i), ...]) where g_i = den*y^m + sum c_l y^l is
+        den times the i-th factor and den is the parameters' common
+        denominator.
+        """
+        den = lcm(*(x.denominator for x in self.parameters.values()))
+        factors = []
+        for i, m in enumerate(self.pattern, start=1):
+            g = [0] * m + [den]
+            for l in range(m - 1):
+                x = self.parameters[(i, l)]
+                g[l] = x.numerator * (den // x.denominator)
+            factors.append((i, tuple(g)))
+        return den, factors
+
     def coefficients(self):
         """Low-first Fraction coefficients of the expanded polynomial in u.
 
-        Each factor is expanded over ZZ, scaled by the parameters' common
-        denominator; the product is divided by that scale once at the end.
+        Each factor is shifted back to u over ZZ, scaled by the parameters'
+        common denominator; the product is divided by that scale once at
+        the end.
         """
-        den = lcm(*(x.denominator for x in self.parameters.values()))
+        den, factors = self._factors()
         poly = (1,)
-        for i, m in enumerate(self.pattern, start=1):
-            factor = zp_scale(zp_pow((-i, 1), m), den)
-            for l in range(m - 1):
-                x = self.parameters[(i, l)]
-                if x:
-                    shifted = zp_scale(zp_pow((-i, 1), l), x.numerator * (den // x.denominator))
-                    factor = zp_add(factor, shifted)
-            poly = zp_mul(poly, factor)
-        scale = den ** len(self.pattern)
+        for i, g in factors:
+            poly = zp_mul(poly, zp_shift(g, -i))
+        scale = den ** len(factors)
         return [Fraction(c, scale) for c in poly]
 
     def real_roots(self):
-        """Ordered (root, multiplicity) pairs of the current polynomial."""
-        return real_roots_with_multiplicities(self.coefficients())
+        """Ordered (root, multiplicity) pairs of the current polynomial.
+
+        Factor by factor when every factor passes the window certificate
+        (module docstring), each isolating interval cut to its factor's
+        window [i - 1/2, i + 1/2]; otherwise from the expanded product.
+        """
+        den, factors = self._factors()
+        half = Fraction(1, 2)
+        if any(sum(abs(c) << (len(g) - 1 - l) for l, c in enumerate(g[:-1])) >= den
+               for _, g in factors):
+            return real_roots_with_multiplicities(self.coefficients())
+        roots = []
+        for i, g in factors:
+            if len(g) == 2:  # u - i has no parameters
+                roots.append((AlgebraicNumber.from_rational(i), 1))
+                continue
+            for r, mult in real_roots_with_multiplicities(g):
+                # the root lies in (-1/2, 1/2), whose ends are no roots of g
+                lo, hi = max(r.lo, -half), min(r.hi, half)
+                roots.append((AlgebraicNumber(zp_shift(r.poly, -i), lo + i, hi + i), mult))
+        return roots
 
     def trajectory_patterns(self):
         """Patterns of the slices {model <= 0}, in increasing u order."""

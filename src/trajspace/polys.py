@@ -96,6 +96,19 @@ def zp_pow(p: ZP, n: int) -> ZP:
     return out
 
 
+def zp_shift(p: ZP, a: int) -> ZP:
+    """The Taylor shift p(x + a), by repeated Horner division by x - a.
+
+    The shift is invertible over ZZ, so it keeps the content and the
+    leading coefficient.
+    """
+    c = list(p)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return tuple(c)
+
+
 def zp_derivative(p: ZP) -> ZP:
     return zp(i * p[i] for i in range(1, len(p)))
 

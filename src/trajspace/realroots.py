@@ -86,9 +86,10 @@ def root_bound(p: ZP) -> Fraction:
 def isolate_real_roots(p: ZP):
     """Isolating intervals for the distinct real roots of a square-free p.
 
-    Returns a sorted list of (lo, hi) Fraction pairs.  Rational roots come out
-    as degenerate intervals lo == hi; otherwise lo < root < hi with neither
-    endpoint a root, and intervals pairwise disjoint.
+    Returns a sorted list of pairwise disjoint (lo, hi) Fraction pairs.  A
+    root that a bisection midpoint hits comes out as the degenerate interval
+    lo == hi; every other root, rational or not, has lo < root < hi with
+    neither endpoint a root.  So p = (0, 1), that is x, gives (-1, 1).
     """
     if zp_degree(p) < 1:
         return []

@@ -1,14 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trajspace.local_model import (
+    ModelPolynomial,
     build_model,
     chamber_count,
     oracle_containment,
     sampled_patterns,
 )
-from trajspace.omega import norm, resolutions
+from trajspace.omega import enumerate_patterns, norm, resolutions
+from trajspace.realroots import real_roots_with_multiplicities
+
+PATTERNS_TO_NORM_8 = [p for p in enumerate_patterns(7) if norm(p) <= 8]
 
 
 @pytest.mark.parametrize("pattern,degree,roots", [
@@ -67,3 +72,39 @@ def test_root_parity_invariant():
 def test_bad_magnitude_rejected():
     with pytest.raises(ValueError):
         sampled_patterns((2,), 5, 0)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_factorwise_roots_match_the_expanded_product(data):
+    # magnitude 1/1000 always passes the window certificate; from 1/2 up
+    # many draws fail it and take the expanded-product path
+    pattern = data.draw(st.sampled_from(PATTERNS_TO_NORM_8))
+    magnitude = data.draw(st.sampled_from(
+        [Fraction(1, 1000), Fraction(1, 2), Fraction(1), Fraction(3)]))
+    model = ModelPolynomial(pattern)
+    for key in model.parameters:
+        step = data.draw(st.integers(-1000, 1000))
+        model.set_parameter(*key, magnitude * Fraction(step, 1000))
+    got = model.real_roots()
+    want = real_roots_with_multiplicities(model.coefficients())
+    assert [m for _, m in got] == [m for _, m in want]
+    for (r, _), (s, _) in zip(got, want):
+        assert r.equals(s)
+    # sorted, and no two isolating intervals share more than an endpoint
+    assert all(a.hi <= b.lo for (a, _), (b, _) in zip(got, got[1:]))
+
+
+def test_fallback_when_roots_of_two_factors_meet():
+    # (u - 2)^2 - 1 has roots 1 and 3, on the roots of the factors u - 1 and
+    # u - 3: the window certificate fails and multiplicities add
+    model = build_model((1, 2, 1))
+    model.set_parameter(2, 0, -1)
+    got = model.real_roots()
+    assert [m for _, m in got] == [2, 2]
+    assert [r.compare_rational(Fraction(v)) for (r, _), v in zip(got, (1, 3))] == [0, 0]
+    sp = pytest.importorskip("sympy")
+    u = sp.symbols("u")
+    poly = sp.Poly(list(reversed(model.coefficients())), u)
+    assert sp.roots(poly) == {1: 2, 3: 2}
+    assert model.trajectory_patterns() == ((2,), (2,))

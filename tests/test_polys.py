@@ -18,6 +18,7 @@ from trajspace.polys import (
     zp_prem,
     zp_primitive,
     zp_scale,
+    zp_shift,
     zp_sign_at,
     zp_squarefree_decomposition,
     zp_squarefree_part,
@@ -115,6 +116,14 @@ def test_integer_evaluation_matches_qq_horner(p, x, y):
     a, b, e = _poly_range(p, lo, hi)
     assert e > 0
     assert (Fraction(a, e), Fraction(b, e)) == qq_poly_range(p, lo, hi)
+
+
+@given(small_polys, st.integers(-9, 9), st.integers(-20, 20))
+def test_shift_is_substitution_and_inverts(p, a, x):
+    shifted = zp_shift(p, a)
+    assert qq_horner(shifted, Fraction(x)) == qq_horner(p, Fraction(x + a))
+    assert zp_shift(shifted, -a) == p
+    assert zp_content(shifted) == zp_content(p)
 
 
 @given(small_polys, nonzero_polys)
