@@ -1,11 +1,16 @@
 """Bivariate polynomials over QQ and elimination along a line family.
 
-A curve is a dict {(i, j): Fraction} for x^i y^j.  Substituting a polynomial
-line parametrization (x(c, s), y(c, s)) turns it into an "SPoly": a list of
-integer polynomials in the sweep parameter c, indexed by the power of the
-line coordinate s.  Subresultants w.r.t. s, the resultant among them, are
-determinants of Sylvester submatrices whose entries are ZPs in c, taken with
-Bareiss fraction-free elimination.  The signed subresultant sequence of G
+A curve is a dict {(i, j): Fraction} for x^i y^j.  Fractions appear only
+there: in the scene's curves, in the ``bp_*`` arithmetic on them, and in
+``bp_restrict_line``, which restricts a curve to one rational line.
+Substituting a polynomial line parametrization (x(c, s), y(c, s)) clears
+them once and turns the curve into an "SPoly": a list of integer
+polynomials in the sweep parameter c, indexed by the power of the line
+coordinate s.  ``SPoly.at_param`` specialises it at a rational c to a
+primitive integer polynomial in s without building a Fraction.
+Subresultants w.r.t. s, the resultant among them, are determinants of
+Sylvester submatrices whose entries are ZPs in c, taken with Bareiss
+fraction-free elimination.  The signed subresultant sequence of G
 and dG/ds decides everything about G(alpha, s) at a real algebraic alpha
 (gcd degree, tangent point, real roots in an interval) through signs of
 integer polynomials at alpha.
@@ -21,10 +26,11 @@ from .polys import (
     zp,
     zp_add,
     zp_divexact,
-    zp_eval_fr,
+    zp_eval_hom,
     zp_mul,
     zp_neg,
     zp_pow,
+    zp_primitive,
     zp_scale,
     zp_sub,
 )
@@ -100,9 +106,19 @@ class SPoly:
     def ds(self) -> "SPoly":
         return SPoly([zp_scale(c, k) for k, c in enumerate(self.coeffs)][1:])
 
-    def at_param(self, c: Fraction):
-        """Fraction coefficient list in s at a rational parameter value."""
-        return [zp_eval_fr(co, c) for co in self.coeffs]
+    def at_param(self, c: Fraction) -> ZP:
+        """Self at a rational parameter value: a primitive ZP in s.
+
+        Column k evaluates to den(c)**deg(k) * coeffs[k](c) by
+        ``zp_eval_hom``; scaling it by den(c)**(top - deg(k)), where top is
+        the largest column degree, puts every column over den(c)**top.  The
+        result is a positive multiple of the rational coefficient vector, so
+        its primitive part is that of the vector cleared of denominators.
+        """
+        num, den = c.numerator, c.denominator
+        top = max((len(co) for co in self.coeffs), default=1) - 1
+        return zp_primitive(zp(zp_eval_hom(co, num, den) * den ** (top - len(co) + 1)
+                               for co in self.coeffs))
 
     def coeff(self, k: int) -> ZP:
         return self.coeffs[k] if k < len(self.coeffs) else ()

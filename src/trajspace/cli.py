@@ -41,6 +41,14 @@ def _error_doc(code, message, extra=None):
 
 def cmd_analyze(args) -> int:
     try:
+        return _analyze(args)
+    except OSError as exc:  # --out, --svg or --dot could not be written
+        sys.stdout.write(report.render_report(_error_doc("IO", str(exc))))
+        return 1
+
+
+def _analyze(args) -> int:
+    try:
         scene = load_scene(args.scene)
     except SceneError as exc:
         _emit(_error_doc("PARSE", str(exc)), args.out)

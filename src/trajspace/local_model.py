@@ -72,18 +72,11 @@ class ModelPolynomial:
         return den, factors
 
     def coefficients(self):
-        """Low-first Fraction coefficients of the expanded polynomial in u.
-
-        Each factor is shifted back to u over ZZ, scaled by the parameters'
-        common denominator; the product is divided by that scale once at
-        the end.
-        """
+        """Low-first Fraction coefficients of the expanded polynomial in u:
+        the integer product of ``_expand`` divided by its scale once."""
         den, factors = self._factors()
-        poly = (1,)
-        for i, g in factors:
-            poly = zp_mul(poly, zp_shift(g, -i))
         scale = den ** len(factors)
-        return [Fraction(c, scale) for c in poly]
+        return [Fraction(c, scale) for c in _expand(factors)]
 
     def real_roots(self):
         """Ordered (root, multiplicity) pairs of the current polynomial.
@@ -96,7 +89,7 @@ class ModelPolynomial:
         half = Fraction(1, 2)
         if any(sum(abs(c) << (len(g) - 1 - l) for l, c in enumerate(g[:-1])) >= den
                for _, g in factors):
-            return real_roots_with_multiplicities(self.coefficients())
+            return real_roots_with_multiplicities(_expand(factors))
         roots = []
         for i, g in factors:
             if len(g) == 2:  # u - i has no parameters
@@ -112,6 +105,15 @@ class ModelPolynomial:
         """Patterns of the slices {model <= 0}, in increasing u order."""
         mults = [m for _, m in self.real_roots()]
         return tuple(omega.segment_patterns(mults))
+
+
+def _expand(factors):
+    """The product of the factors (i, g_i) of ``ModelPolynomial._factors``,
+    each shifted back to u over ZZ: den**k times the model polynomial."""
+    poly = (1,)
+    for i, g in factors:
+        poly = zp_mul(poly, zp_shift(g, -i))
+    return poly
 
 
 def build_model(pattern) -> ModelPolynomial:

@@ -3,8 +3,9 @@
 Polynomials are tuples of ints, coefficients stored low degree first,
 normalized so the last entry is nonzero; the zero polynomial is the empty
 tuple.  Fractions appear only at the boundaries: ``zp_from_fractions``
-clears denominators on the way in, and ``zp_eval_fr`` builds one Fraction
-on the way out.
+clears denominators on the way in (for the rational restrictions of
+``bivar.bp_restrict_line``), and ``zp_eval_fr`` builds one Fraction on the
+way out (for the rational case of ``AlgebraicNumber.ratio_interval``).
 
 Evaluation at a rational n/d is homogeneous and stays in ZZ:
 ``zp_eval_hom`` returns d**deg * p(n/d) by Horner's rule, carrying the

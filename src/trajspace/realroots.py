@@ -6,9 +6,10 @@ scale (``polys.zp_prem``), so it has the signs of the Sturm remainder over
 QQ everywhere.  They drive isolation and interval refinement.  Every sign
 at a rational point is the sign of a homogeneous integer value
 (``polys.zp_eval_hom``): Sturm variations, the interval bounds of
-``_poly_range``, and the bisection of ``isolate_real_roots``, which keeps
-its endpoints as integer numerators over the denominator D * 2**k at depth
-k.  Fractions are built only for the intervals handed out.  An
+``_poly_range``, and the bisections of ``isolate_real_roots`` and
+``AlgebraicNumber.refine_below``, which keep their endpoints as integer
+numerators over the denominator D * 2**k at depth k.  Fractions are built
+only for the intervals handed out.  An
 algebraic number is a square-free defining polynomial plus an isolating
 interval; the only primitive everything else reduces to is
 ``AlgebraicNumber.sign_of``: the exact sign of another polynomial at the
@@ -28,7 +29,6 @@ from .polys import (
     zp_derivative,
     zp_eval_fr,
     zp_eval_hom,
-    zp_from_fractions,
     zp_gcd,
     zp_neg,
     zp_prem,
@@ -184,8 +184,33 @@ class AlgebraicNumber:
                 self.lo, self._lo_sign = mid, s
 
     def refine_below(self, width: Fraction) -> None:
-        while not self.is_rational and self.hi - self.lo >= width:
-            self.refine()
+        """Refine until the interval is narrower than ``width``.
+
+        Takes exactly the steps, midpoints and signs of repeated ``refine``,
+        bisecting integer numerators over one common denominator that
+        doubles with every step; Fractions are built only at the end.
+        """
+        if self.is_rational:
+            return
+        w = Fraction(width)
+        den = lcm(self.lo.denominator, self.hi.denominator)
+        lo = self.lo.numerator * (den // self.lo.denominator)
+        hi = self.hi.numerator * (den // self.hi.denominator)
+        lo_sign = self._lo_sign
+        while (hi - lo) * w.denominator >= w.numerator * den:
+            if lo_sign is None:
+                lo_sign = zp_sign_at(self.poly, self.lo)
+            mid, den = lo + hi, den << 1
+            lo, hi = lo << 1, hi << 1
+            v = zp_eval_hom(self.poly, mid, den)
+            if v == 0:
+                lo = hi = mid
+                break
+            if lo_sign * v < 0:
+                hi = mid
+            else:
+                lo, lo_sign = mid, (v > 0) - (v < 0)
+        self.lo, self.hi, self._lo_sign = Fraction(lo, den), Fraction(hi, den), lo_sign
 
     def sign_of(self, q: ZP) -> int:
         """Exact sign of q(alpha).
@@ -270,18 +295,21 @@ class AlgebraicNumber:
         return float((self.lo + self.hi) / 2)
 
     def __repr__(self):
-        return f"Alg({float(self):.6g})"
+        # the interval as it stands: refining here would change later results
+        if self.is_rational:
+            return f"Alg({self.lo})"
+        return f"Alg({self.lo}, {self.hi})"
 
 
-def real_roots_with_multiplicities(coeffs):
-    """All real roots of a QQ-coefficient polynomial, with multiplicities.
+def real_roots_with_multiplicities(p: ZP):
+    """All real roots of an integer polynomial, with multiplicities.
 
-    ``coeffs`` is a low-first list of Fractions/ints.  Returns a list of
-    (AlgebraicNumber, multiplicity) sorted by the root value; isolating
-    intervals are pairwise disjoint.  Raises ValueError on the zero
-    polynomial.
+    ``p`` is a ZP; callers holding rational coefficients clear them first
+    (``polys.zp_from_fractions``).  Returns a list of (AlgebraicNumber,
+    multiplicity) sorted by the root value; isolating intervals are pairwise
+    disjoint.  Raises ValueError on the zero polynomial.
     """
-    p = zp_from_fractions(coeffs)
+    p = zp_primitive(p)
     if not p:
         raise ValueError("zero polynomial has no well-defined roots")
     roots = []

@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import geometry
 from .bivar import substitute_line_family
 from .events import DegenerateScene, ParamEvent, component_events
-from .polys import zp_degree, zp_from_fractions, zp_sign_at, zp_squarefree_part
+from .polys import zp_degree, zp_sign_at, zp_squarefree_part
 from .realroots import (
     real_roots_with_multiplicities,
     separate,
@@ -142,10 +142,10 @@ def _sample_cell(scene, spolys, chart, q, c: Fraction) -> _Cell:
     radial = scene.field.kind == "radial"
     comp_roots = []
     for G in spolys[chart]:
-        coeffs = G.at_param(c)
+        p = G.at_param(c)
         roots = []
-        if any(coeffs):
-            for root, mult in real_roots_with_multiplicities(coeffs):
+        if p:
+            for root, mult in real_roots_with_multiplicities(p):
                 if mult != 1:
                     raise MatchingAmbiguous(
                         f"multiple crossing at sample parameter {c} (chart {chart})")
@@ -219,13 +219,12 @@ def _isolate_sstar_window(ev: ParamEvent, radial: bool):
     raise MatchingAmbiguous("could not isolate the tangency point")
 
 
-def _window_counts(coeffs, radial: bool, r_lo: Fraction, r_hi: Fraction):
+def _window_counts(p, radial: bool, r_lo: Fraction, r_hi: Fraction):
     """Distinct real roots of a sample line's crossing polynomial, counted
     with one Sturm chain of its square-free part: (all of them, those at or
     below r_lo, those strictly between r_lo and r_hi).  Radial lines count
-    only s > 0, and need 0 < r_lo; ``coeffs`` is the low-first Fraction list
-    of G(c, .)."""
-    p = zp_squarefree_part(zp_from_fractions(coeffs))
+    only s > 0, and need 0 < r_lo; ``p`` is the ZP G(c, .)."""
+    p = zp_squarefree_part(p)
     if zp_degree(p) < 1:
         return 0, 0, 0
     chain = sturm_chain(p)

@@ -14,6 +14,15 @@ Singularities and curve intersections are both detected along the vertical
 line pencil: every real point lies on some vertical line, a singular point
 forces a multiple root of the restriction there, and the event classifier
 pins these down exactly.
+
+Each call of ``validate_scene`` analyses every component along the pencil
+once (``_VerticalAnalysis``: the restriction G, that of F_x, the square-free
+resultant Res_s(G, G_s), its isolating intervals and the signed
+subresultant sequence) and hands that analysis to every check that needs
+it.  The analysis lives only as long as the call.  Each consumer builds its
+own algebraic numbers from the stored intervals: refining a number is
+visible in the floats and witnesses reported later, so a number refined by
+one check must not reach another.
 """
 
 from __future__ import annotations
@@ -65,9 +74,26 @@ class ValidationReport:
 _VERTICAL = line_family(Field("constant", direction=(Fraction(0), Fraction(1))))
 
 
-def _vertical_restriction(F):
-    """SPoly of F along vertical lines x = c (s is the y coordinate)."""
-    return substitute_line_family(F, *_VERTICAL)
+class _VerticalAnalysis:
+    """One component along the vertical lines x = c (s is the y coordinate).
+
+    ``G`` and ``fx`` are the SPolys of F and F_x; ``rsf``, ``intervals`` and
+    ``seq`` are the square-free part of Res_s(G, G_s), the isolating
+    intervals of its real roots and the signed subresultant sequence of G
+    (None, [] and None when the resultant vanishes).
+    """
+
+    __slots__ = ("G", "fx", "rsf", "intervals", "seq")
+
+    def __init__(self, comp):
+        self.G = substitute_line_family(comp.implicit, *_VERTICAL)
+        self.fx = substitute_line_family(bp_dx(comp.implicit), *_VERTICAL)
+        self.rsf, params, self.seq = multiple_root_params(self.G)
+        self.intervals = [(a.lo, a.hi) for a in params]
+
+    def params(self):
+        """Fresh, unrefined algebraic numbers at the tangency parameters."""
+        return [AlgebraicNumber(self.rsf, lo, hi) for lo, hi in self.intervals]
 
 
 def _real_common_root(A, B, alpha):
@@ -79,29 +105,25 @@ def _real_common_root(A, B, alpha):
     return k >= 1 and SturmHabicht.of(g).real_root_count(alpha) >= 1
 
 
-def _check_smooth(comp, report):
+def _check_smooth(comp, va, report):
     """No real point with F = Fx = Fy = 0 (in particular on tangency loci)."""
-    G = _vertical_restriction(comp.implicit)
-    fx = _vertical_restriction(bp_dx(comp.implicit))
-    rsf, params, seq = multiple_root_params(G)
-    if rsf is None:
+    if va.rsf is None:
         report.add(f"curve_smooth[{comp.name}]", False,
                    "CURVE_SINGULAR: restriction identically degenerate")
         return
-    for alpha in params:
-        at = seq.at(alpha)
+    for alpha in va.params():
+        at = va.seq.at(alpha)
         k = at.gcd_degree(alpha)
         # a singular point is a real common root of G, G_s and F_x on x = alpha
-        if k >= 1 and _real_common_root(at[k], fx.truncated(alpha), alpha):
+        if k >= 1 and _real_common_root(at[k], va.fx.truncated(alpha), alpha):
             report.add(f"curve_smooth[{comp.name}]", False,
                        f"CURVE_SINGULAR: singular point near x = {float(alpha):.6g}")
             return
     report.add(f"curve_smooth[{comp.name}]", True, "")
 
 
-def _check_disjoint(ci, cj, name_i, name_j, report):
-    Gi = _vertical_restriction(ci.implicit)
-    Gj = _vertical_restriction(cj.implicit)
+def _check_disjoint(vi, vj, name_i, name_j, report):
+    Gi, Gj = vi.G, vj.G
     res = sylvester_resultant(Gi, Gj)
     if not res:
         report.add(f"disjoint[{name_i},{name_j}]", False,
@@ -120,23 +142,21 @@ def _check_disjoint(ci, cj, name_i, name_j, report):
     report.add(f"disjoint[{name_i},{name_j}]", True, "")
 
 
-def _curve_point(comp, scene):
+def _curve_point(va, scene):
     """A rational x with real curve points, plus the curve's y-roots there.
 
     Uses the vertical tangency parameters: a compact smooth curve attains
     its x-extrema there, and any x strictly between the outermost two cuts
     the curve.
     """
-    G = _vertical_restriction(comp.implicit)
-    _, params, _ = multiple_root_params(G)
     xs = []
-    for alpha in params:
+    for alpha in va.params():
         alpha.refine_below(Fraction(1, 1024))
         xs.append(alpha)
     for probe in _probe_values(xs, scene):
-        coeffs = G.at_param(probe)
-        if any(coeffs):
-            roots = real_roots_with_multiplicities(coeffs)
+        p = va.G.at_param(probe)
+        if p:
+            roots = real_roots_with_multiplicities(p)
             if roots:
                 return probe, [r for r, _ in roots]
     return None, []
@@ -154,7 +174,7 @@ def _probe_values(xs, scene):
     return probes
 
 
-def _check_bbox(comp, scene, report):
+def _check_bbox(comp, va, scene, report):
     x0, x1, y0, y1 = scene.bbox
     edges = [
         ((x0, 0), (0, 1), y0, y1),   # left edge: x = x0, point (x0, t)
@@ -176,7 +196,7 @@ def _check_bbox(comp, scene, report):
                     report.add(f"bbox[{comp.name}]", False,
                                "BBOX: curve meets the bounding box frame")
                     return
-    px_, roots = _curve_point(comp, scene)
+    px_, roots = _curve_point(va, scene)
     if px_ is None:
         report.add(f"bbox[{comp.name}]", False, "BBOX: no real curve point found")
         return
@@ -186,9 +206,9 @@ def _check_bbox(comp, scene, report):
                "" if inside else "BBOX: curve has points outside the bounding box")
 
 
-def _hole_witness(hole, scene):
+def _hole_witness(hole, va, scene):
     """A rational point strictly inside the hole disk {sign*F > 0 side}."""
-    px, roots = _curve_point(hole, scene)
+    px, roots = _curve_point(va, scene)
     if px is None:
         return None
     # between consecutive curve points, look for the hole's excluded side
@@ -201,17 +221,18 @@ def _hole_witness(hole, scene):
 
 def validate_scene(scene) -> ValidationReport:
     report = ValidationReport()
-    for comp in scene.components:
-        _check_smooth(comp, report)
-        _check_bbox(comp, scene, report)
     comps = scene.components
+    vertical = [_VerticalAnalysis(comp) for comp in comps]
+    for comp, va in zip(comps, vertical):
+        _check_smooth(comp, va, report)
+        _check_bbox(comp, va, scene, report)
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
-            _check_disjoint(comps[i], comps[j], comps[i].name, comps[j].name, report)
+            _check_disjoint(vertical[i], vertical[j], comps[i].name, comps[j].name, report)
 
     hole_points = []
-    for hole in scene.holes:
-        w = _hole_witness(hole, scene)
+    for hole, va in zip(scene.holes, vertical[1:]):  # components = [outer] + holes
+        w = _hole_witness(hole, va, scene)
         if w is None:
             report.add(f"hole_inside[{hole.name}]", False,
                        "HOLE_OUTSIDE: no interior witness for the hole")
@@ -244,7 +265,7 @@ def validate_scene(scene) -> ValidationReport:
         report.add("field_nonvanishing", not bad,
                    "" if not bad else "FIELD_VANISHES: radial center lies in X")
 
-    witness = interior_point(scene)
+    witness = _interior_point(scene, vertical)
     report.add("region_nonempty", witness is not None,
                "" if witness else "EMPTY: found no interior point of X")
     if witness:
@@ -259,22 +280,26 @@ def interior_point(scene):
     tests the midpoints between consecutive boundary crossings of ALL
     components on each line.
     """
-    px, _ = _curve_point(scene.outer, scene)
+    return _interior_point(scene, [_VerticalAnalysis(comp) for comp in scene.components])
+
+
+def _interior_point(scene, vertical):
+    """``interior_point`` given the vertical analyses of scene.components."""
+    px, _ = _curve_point(vertical[0], scene)
     probes = []
     if px is not None:
         probes.append(px)
-    G0 = _vertical_restriction(scene.outer.implicit)
-    _, params, _ = multiple_root_params(G0)
-    vals = sorted((a.lo + a.hi) / 2 for a in params)
+    # the outer curve's tangency intervals as isolated, before any refinement
+    vals = sorted((lo + hi) / 2 for lo, hi in vertical[0].intervals)
     for i in range(len(vals) - 1):
         probes.append((vals[i] + vals[i + 1]) / 2)
         probes.append(vals[i] + (vals[i + 1] - vals[i]) / 3)
     for x in probes:
         roots = []
-        for comp in scene.components:
-            coeffs = _vertical_restriction(comp.implicit).at_param(x)
-            if any(coeffs):
-                roots.extend(r for r, _ in real_roots_with_multiplicities(coeffs))
+        for va in vertical:
+            p = va.G.at_param(x)
+            if p:
+                roots.extend(r for r, _ in real_roots_with_multiplicities(p))
         if len(roots) < 2:
             continue
         try:

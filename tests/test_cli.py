@@ -87,6 +87,17 @@ def test_analyze_missing_file_exit_1(capsys, tmp_path):
     assert json.loads(out_file.read_text())["error"] in ("IO", "PARSE")
 
 
+@pytest.mark.parametrize("flag", ["--out", "--svg", "--dot"])
+def test_analyze_unwritable_output_is_io_error(capsys, tmp_path, flag):
+    target = tmp_path / "no_such_dir" / "x"
+    code, out = run(capsys, "analyze", fixture_path("disk.json"), flag, str(target))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "IO"
+    assert "no_such_dir" in doc["message"]
+    assert not target.parent.exists()
+
+
 def test_report_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(capsys, "analyze", fixture_path("disk2.json"), "--out", str(a))[0] == 0

@@ -11,6 +11,7 @@ from trajspace.local_model import (
     sampled_patterns,
 )
 from trajspace.omega import enumerate_patterns, norm, resolutions
+from trajspace.polys import zp_from_fractions
 from trajspace.realroots import real_roots_with_multiplicities
 
 PATTERNS_TO_NORM_8 = [p for p in enumerate_patterns(7) if norm(p) <= 8]
@@ -87,7 +88,7 @@ def test_factorwise_roots_match_the_expanded_product(data):
         step = data.draw(st.integers(-1000, 1000))
         model.set_parameter(*key, magnitude * Fraction(step, 1000))
     got = model.real_roots()
-    want = real_roots_with_multiplicities(model.coefficients())
+    want = real_roots_with_multiplicities(zp_from_fractions(model.coefficients()))
     assert [m for _, m in got] == [m for _, m in want]
     for (r, _), (s, _) in zip(got, want):
         assert r.equals(s)

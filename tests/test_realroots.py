@@ -1,11 +1,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trajspace import realroots
 from trajspace.bivar import SPoly, SturmHabicht
-from trajspace.polys import zp, zp_add, zp_mul, zp_squarefree_part
+from trajspace.polys import (
+    zp,
+    zp_add,
+    zp_eval_fr,
+    zp_from_fractions,
+    zp_mul,
+    zp_neg,
+    zp_squarefree_part,
+)
 from trajspace.realroots import (
     AlgebraicNumber,
     isolate_real_roots,
@@ -152,6 +160,82 @@ def test_refine_evaluates_once_per_step(monkeypatch):
     assert len(calls) == 41  # the sign at the first lo, then one per step
 
 
+@st.composite
+def refine_cases(draw):
+    """(poly, lo, hi, prior refine steps, width) for an isolating interval.
+
+    Either a rational root r = n/2^j of a linear polynomial, with lo and hi
+    at r - a/2^e and r + b/2^e, so that a bisection midpoint hits r exactly
+    when a + b is a power of two; or a quadratic irrational.  The width is
+    fixed or a multiple of hi - lo, at times wider than the interval."""
+    if draw(st.booleans()):
+        r = Fraction(draw(st.integers(-40, 40)), 2 ** draw(st.integers(0, 3)))
+        p = zp([-r.numerator, r.denominator])
+        e = 2 ** draw(st.integers(0, 4))
+        lo = r - Fraction(draw(st.integers(1, 16)), e)
+        hi = r + Fraction(draw(st.integers(1, 16)), e)
+    else:
+        b, d = draw(st.integers(-2, 2)), draw(st.sampled_from([2, 3, 5, 7, 10]))
+        p = zp([b * b - d, -2 * b, 1])              # roots b +- sqrt(d)
+        lo, hi = draw(st.sampled_from(isolate_real_roots(p)))
+    if draw(st.booleans()):
+        p = zp_neg(p)
+    width = draw(st.one_of(
+        st.sampled_from([Fraction(1, 10**12), Fraction(1, 1024), Fraction(1, 3)]),
+        st.fractions(min_value=Fraction(1, 64), max_value=3, max_denominator=64)
+          .map(lambda k: k * (hi - lo))))
+    return p, lo, hi, draw(st.integers(0, 3)), width
+
+
+@given(refine_cases())
+@example(((-3, 2), Fraction(1), Fraction(2), 0, Fraction(1, 1024)))    # hits 3/2 at once
+@example(((-3, 4), Fraction(1, 2), Fraction(1), 1, Fraction(1, 1024)))  # hits 3/4, _lo_sign set
+@example(((-2, 0, 1), Fraction(1), Fraction(2), 2, Fraction(1)))       # already narrower
+@settings(max_examples=200, deadline=None)
+def test_refine_below_matches_repeated_refine(case):
+    p, lo, hi, steps, width = case
+    alpha, ref = AlgebraicNumber(p, lo, hi), AlgebraicNumber(p, lo, hi)
+    alpha.refine(steps)      # steps > 0 presets _lo_sign
+    ref.refine(steps)
+    alpha.refine_below(width)
+    while not ref.is_rational and ref.hi - ref.lo >= width:   # the reference
+        ref.refine()
+    assert (alpha.lo, alpha.hi, alpha._lo_sign) == (ref.lo, ref.hi, ref._lo_sign)
+
+
+def test_repr_keeps_the_interval():
+    sqrt2 = AlgebraicNumber(zp([-2, 0, 1]), Fraction(3, 4), Fraction(3, 2))
+    text = repr(sqrt2)
+    assert (sqrt2.lo, sqrt2.hi, sqrt2._lo_sign) == (Fraction(3, 4), Fraction(3, 2), None)
+    assert "3/4" in text and "3/2" in text
+
+
+@st.composite
+def spolys_at_rational(draw):
+    """An SPoly and a rational c.  Columns are random, zero, or multiples of
+    den(c) x - num(c), which vanish at c: the leading s-coefficient may
+    vanish there, and so may every column (G(c, .) == 0)."""
+    c = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+    cols = []
+    for _ in range(draw(st.integers(0, 4))):
+        col = zp(draw(st.lists(st.integers(-9, 9), max_size=4)))
+        kind = draw(st.sampled_from(["random", "zero", "vanishing"]))
+        cols.append(() if kind == "zero" else
+                    zp_mul(col, (-c.numerator, c.denominator)) if kind == "vanishing" else col)
+    return SPoly(cols), c
+
+
+@given(spolys_at_rational())
+@example((SPoly([(3, 1), (), (-1, 2)]), Fraction(1, 2)))           # zero column, lead vanishes
+@example((SPoly([(-1, 2), (), (2, -4, 0, 0)]), Fraction(1, 2)))     # G(c, .) == 0
+@example((SPoly([(5,), (0, 0, 7), (1, 3)]), Fraction(-5, 3)))       # columns of unequal degree
+@settings(max_examples=200, deadline=None)
+def test_at_param_is_the_cleared_fraction_evaluation(case):
+    G, c = case
+    reference = zp_from_fractions([zp_eval_fr(co, c) for co in G.coeffs])
+    assert G.at_param(c) == reference
+
+
 def _no_refine(monkeypatch):
     monkeypatch.setattr(AlgebraicNumber, "refine", lambda self, steps=1: None)
 
@@ -183,7 +267,7 @@ def test_root_separation_has_a_budget(monkeypatch):
     p = zp_mul(zp([-2, 0, 1]), zp_mul(zp([-3, 0, 1]), zp([-3, 0, 1])))
     _no_refine(monkeypatch)
     with pytest.raises(RuntimeError):
-        real_roots_with_multiplicities(list(p))
+        real_roots_with_multiplicities(p)
 
 
 def test_midpoint_root_bracket_has_a_budget():
@@ -196,7 +280,7 @@ def test_midpoint_root_bracket_has_a_budget():
 def test_multiplicities():
     # (u-1)^2 (u-3)
     p = zp_mul(zp_mul(zp([-1, 1]), zp([-1, 1])), zp([-3, 1]))
-    rm = real_roots_with_multiplicities(list(p))
+    rm = real_roots_with_multiplicities(p)
     assert [(float(r), m) for r, m in rm] == [(1.0, 2), (3.0, 1)]
 
 
@@ -215,7 +299,7 @@ def test_roots_come_out_disjoint_and_sorted(rational_roots, squares):
     for k, m in squares:
         for _ in range(m):
             p = zp_mul(p, zp([-k, 0, 1]))
-    rm = real_roots_with_multiplicities(list(p))
+    rm = real_roots_with_multiplicities(p)
     for (a, _), (b, _) in zip(rm, rm[1:]):
         assert a.hi < b.lo
     for r, m in expected.items():
@@ -224,12 +308,12 @@ def test_roots_come_out_disjoint_and_sorted(rational_roots, squares):
 
 
 def test_no_real_roots():
-    assert real_roots_with_multiplicities([1, 0, 1]) == []  # u^2 + 1
+    assert real_roots_with_multiplicities((1, 0, 1)) == []  # u^2 + 1
 
 
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
-        real_roots_with_multiplicities([0])
+        real_roots_with_multiplicities(zp([0]))
 
 
 def test_perturbed_double_root_trichotomy():
@@ -247,7 +331,7 @@ def test_perturbed_double_root_trichotomy():
         for i, a in enumerate(out):
             for j, b in enumerate([Fraction(-3), Fraction(1)]):
                 prod2[i + j] += a * b
-        rm = real_roots_with_multiplicities(prod2)
+        rm = real_roots_with_multiplicities(zp_from_fractions(prod2))
         assert len(rm) == expect
         assert all(m == 1 for _, m in rm)
 

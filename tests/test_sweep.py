@@ -4,7 +4,7 @@ import pytest
 
 from trajspace import sweep
 from trajspace.events import DegenerateScene
-from trajspace.polys import zp_mul, zp_pow
+from trajspace.polys import zp_from_fractions, zp_mul, zp_pow
 from trajspace.realroots import real_roots_with_multiplicities
 
 from conftest import load_fixture
@@ -291,7 +291,6 @@ def test_crossing_count_changes_by_two_across_events(fig1):
 def test_circle_events_match_closed_form():
     # for a vertical field, a circle (cx, cy, r) is tangent to the lines
     # x = cx +- r and nothing else: an independent closed-form oracle
-    from trajspace.polys import zp_from_fractions
     from trajspace.realroots import AlgebraicNumber
     from conftest import analyzed
     for fixture in ("disk.json", "disk1.json", "disk2.json", "disk3.json", "disk4.json"):
@@ -347,11 +346,11 @@ def test_loop_euler_characteristic():
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
 
 
-def _isolated_window_counts(coeffs, radial, r_lo, r_hi):
+def _isolated_window_counts(p, radial, r_lo, r_hi):
     """Reference: isolate every root, then compare each with 0, r_lo, r_hi."""
-    if not any(coeffs):
+    if not p:
         return 0, 0, 0
-    roots = [r for r, _ in real_roots_with_multiplicities(coeffs)
+    roots = [r for r, _ in real_roots_with_multiplicities(p)
              if not radial or r.compare_rational(Fraction(0)) > 0]
     below = sum(1 for r in roots if r.compare_rational(r_lo) <= 0)
     inside = sum(1 for r in roots
@@ -375,15 +374,15 @@ def window_cases(draw):
     value = st.builds(Fraction, st.integers(1 if radial else -6, 6), st.integers(1, 3))
     ends = st.one_of(st.sampled_from(pool), value) if pool else value
     r_lo, r_hi = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
-    return list(p), radial, r_lo, r_hi
+    return zp_from_fractions(p), radial, r_lo, r_hi
 
 
 @given(window_cases())
-@example(([2, -3, 1], False, Fraction(0), Fraction(2)))          # r_hi is a root
-@example(([0, 1, 1], True, Fraction(1, 2), Fraction(3)))          # radial, roots 0 and -1
-@example(([0], False, Fraction(-1), Fraction(1)))                 # G(c, .) == 0
+@example(((2, -3, 1), False, Fraction(0), Fraction(2)))          # r_hi is a root
+@example(((0, 1, 1), True, Fraction(1, 2), Fraction(3)))          # radial, roots 0 and -1
+@example(((), False, Fraction(-1), Fraction(1)))                  # G(c, .) == 0
 @settings(max_examples=200, deadline=None)
 def test_window_counts_match_isolation(case):
-    coeffs, radial, r_lo, r_hi = case
-    assert (sweep._window_counts(coeffs, radial, r_lo, r_hi)
-            == _isolated_window_counts(coeffs, radial, r_lo, r_hi))
+    p, radial, r_lo, r_hi = case
+    assert (sweep._window_counts(p, radial, r_lo, r_hi)
+            == _isolated_window_counts(p, radial, r_lo, r_hi))

@@ -92,3 +92,19 @@ def test_disjoint_product_curve_is_smooth():
         "holes": [], "bbox": [[-5, 1], [5, 1], [-3, 1], [3, 1]]}, name="twoovals")
     report = validate_scene(sc)
     assert report.ok, report.failures()
+
+
+def test_validation_analyses_each_component_once(monkeypatch):
+    # fig1 has 5 components: one restriction of F and one of F_x, and one
+    # resultant analysis, per component and validate_scene call
+    from trajspace import validate
+    calls = {"substitute_line_family": 0, "multiple_root_params": 0}
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(validate, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(validate, name, counted)
+    scene = load_fixture("fig1.json")
+    assert len(scene.components) == 5
+    assert validate_scene(scene).ok
+    assert calls == {"substitute_line_family": 10, "multiple_root_params": 5}
