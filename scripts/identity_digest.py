@@ -8,12 +8,13 @@ covers the exit code and the three outputs (a rejected scene has only a
 report).  The seam line covers the same three outputs of the radial scene
 in `tests/test_sweep.py::test_seam_rotation_retry`, the one scene whose
 sweep rotates its charts (seam rotation 1/7), so its SVG draws trajectory
-lines through the rotated float view.  The last two lines cover the
+lines through the rotated float view.  The last three lines cover the
 oracle's observed pattern sets for all 30 patterns of norm <= 8 (200
-samples, seed 0), which depend on root isolation but on no scene.  At
+samples, seed 0), which depend on root counting but on no scene.  At
 magnitude 1/1000 every sample passes the window certificate of
-`local_model` and is isolated factor by factor; at magnitude 1/2 many
-samples fail it and take the expanded-product path.
+`local_model` and is counted factor by factor; at magnitude 1/2 many
+samples fail it and take the expanded-product path, and at magnitude 3
+nearly all do.
 Run it on two checkouts and diff the outputs to show that a change keeps
 every output byte for byte:
 
@@ -82,7 +83,9 @@ def main():
     digest, count = oracle_digest(Fraction(1, 1000))
     print(f"{digest}  oracle: {count} patterns of norm <= 8", flush=True)
     digest, count = oracle_digest(Fraction(1, 2))
-    print(f"{digest}  oracle: {count} patterns of norm <= 8, magnitude 1/2")
+    print(f"{digest}  oracle: {count} patterns of norm <= 8, magnitude 1/2", flush=True)
+    digest, count = oracle_digest(Fraction(3))
+    print(f"{digest}  oracle: {count} patterns of norm <= 8, magnitude 3")
     return 0
 
 

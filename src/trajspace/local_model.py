@@ -5,11 +5,14 @@ The model for a pattern (m_1, ..., m_k) is the monic polynomial
     prod_i [ (u - i)^{m_i} + sum_{l=0}^{m_i - 2} x_{i,l} (u - i)^l ]
 
 with one rational perturbation coordinate per (i, l).  Freezing the
-parameters and reading off real roots with multiplicities gives the nearby
-trajectory patterns; sampling small random rational parameters is the
-numeric oracle that validates the combinatorial ``resolutions``.
+parameters and reading off the multiplicities of the real roots, in root
+order, gives the nearby trajectory patterns; sampling small random rational
+parameters is the numeric oracle that validates the combinatorial
+``resolutions``.  The oracle only counts (``ModelPolynomial.multiplicities``:
+a Sturm chain per factor); ``real_roots`` isolates the roots for callers
+that need the roots themselves.
 
-Roots are isolated one factor at a time.  In y = u - i the i-th factor is
+Both work one factor at a time.  In y = u - i the i-th factor is
 g_i(y) = y^m + sum_l x_l y^l; cleared of denominators it is
 den*y^m + sum_l c_l y^l.  Window certificate: if sum_l |c_l| 2^(m-l) < den,
 every root of g_i has |y| < 1/2, since for |y| >= 1/2
@@ -21,7 +24,7 @@ When every factor passes, the factors' roots lie in the disjoint windows
 the concatenation of the factors' lists in order of i, each root's defining
 polynomial Taylor-shifted back to u.  Otherwise (large parameters, where
 roots of two factors may meet and their multiplicities add) the expanded
-product is isolated as a whole.  A simple factor u - i has no parameters;
+product is handled as a whole.  A simple factor u - i has no parameters;
 its root is the integer i.
 """
 
@@ -33,7 +36,11 @@ from math import lcm
 
 from . import omega
 from .polys import zp_mul, zp_shift
-from .realroots import AlgebraicNumber, real_roots_with_multiplicities
+from .realroots import (
+    AlgebraicNumber,
+    real_root_multiplicities,
+    real_roots_with_multiplicities,
+)
 
 __all__ = ["ModelPolynomial", "build_model", "sampled_patterns",
            "chamber_count", "oracle_containment"]
@@ -86,10 +93,9 @@ class ModelPolynomial:
         window [i - 1/2, i + 1/2]; otherwise from the expanded product.
         """
         den, factors = self._factors()
-        half = Fraction(1, 2)
-        if any(sum(abs(c) << (len(g) - 1 - l) for l, c in enumerate(g[:-1])) >= den
-               for _, g in factors):
+        if not _certified(den, factors):
             return real_roots_with_multiplicities(_expand(factors))
+        half = Fraction(1, 2)
         roots = []
         for i, g in factors:
             if len(g) == 2:  # u - i has no parameters
@@ -101,10 +107,34 @@ class ModelPolynomial:
                 roots.append((AlgebraicNumber(zp_shift(r.poly, -i), lo + i, hi + i), mult))
         return roots
 
+    def multiplicities(self):
+        """Multiplicities of the real roots of the current polynomial, in
+        increasing root order, counted without isolating the roots.
+
+        Factor by factor under the same window certificate as
+        ``real_roots``, a simple factor u - i giving [1]; otherwise from
+        the expanded product.
+        """
+        den, factors = self._factors()
+        if not _certified(den, factors):
+            return real_root_multiplicities(_expand(factors))
+        mults = []
+        for _, g in factors:
+            mults += [1] if len(g) == 2 else real_root_multiplicities(g)
+        return mults
+
     def trajectory_patterns(self):
         """Patterns of the slices {model <= 0}, in increasing u order."""
-        mults = [m for _, m in self.real_roots()]
+        mults = self.multiplicities()
+        assert sum(mults) % 2 == omega.norm(self.pattern) % 2, "complex roots must pair up"
         return tuple(omega.segment_patterns(mults))
+
+
+def _certified(den, factors):
+    """Whether every factor of ``ModelPolynomial._factors`` passes the
+    window certificate sum_l |c_l| 2^(m-l) < den (module docstring)."""
+    return all(sum(abs(c) << (len(g) - 1 - l) for l, c in enumerate(g[:-1])) < den
+               for _, g in factors)
 
 
 def _expand(factors):
@@ -137,21 +167,16 @@ def sampled_patterns(pattern, sample_count: int, magnitude, seed: int = 0):
     if magnitude <= 0:
         raise ValueError("magnitude must be positive")
     rng = random.Random(seed)
-    keys = sorted(ModelPolynomial(pattern).parameters)
+    model = ModelPolynomial(pattern)
+    keys = sorted(model.parameters)
     grid = 1000
-    samples = []
+    observed = set()
     for _ in range(sample_count):
-        samples.append({k: magnitude * Fraction(rng.randint(-grid, grid), grid) for k in keys})
-
-    def run(assignment):
-        model = ModelPolynomial(pattern)
-        for k, v in assignment.items():
-            model.parameters[k] = v
-        mults = [m for _, m in model.real_roots()]
-        assert sum(mults) % 2 == omega.norm(pattern) % 2, "complex roots must pair up"
-        return tuple(omega.segment_patterns(mults))
-
-    return set(map(run, samples))
+        # each sample is drawn as it is used, in the order of the sorted keys
+        for k in keys:
+            model.parameters[k] = magnitude * Fraction(rng.randint(-grid, grid), grid)
+        observed.add(model.trajectory_patterns())
+    return observed
 
 
 def chamber_count(observed) -> int:

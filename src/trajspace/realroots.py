@@ -3,8 +3,10 @@
 Sturm chains are primitive polynomial remainder sequences over ZZ: each
 entry is minus the primitive part of a pseudo-remainder with a positive
 scale (``polys.zp_prem``), so it has the signs of the Sturm remainder over
-QQ everywhere.  They drive isolation and interval refinement.  Every sign
-at a rational point is the sign of a homogeneous integer value
+QQ everywhere.  They drive isolation and interval refinement, and they
+count: ``real_root_multiplicities`` reads the number of real roots of a
+square-free polynomial from the chain's signs at -inf and +inf alone.
+Every sign at a rational point is the sign of a homogeneous integer value
 (``polys.zp_eval_hom``): Sturm variations, the interval bounds of
 ``_poly_range``, and the bisections of ``isolate_real_roots`` and
 ``AlgebraicNumber.refine_below``, which keep their endpoints as integer
@@ -40,7 +42,11 @@ from .polys import (
 
 
 def sturm_chain(p: ZP):
-    """Sturm chain of a square-free integer polynomial."""
+    """Sturm chain of an integer polynomial of degree >= 1.
+
+    It counts real roots when p is square-free; in any case its last entry
+    is gcd(p, p') up to a constant factor.
+    """
     chain = [p, zp_derivative(p)]
     while chain[-1]:
         nr = zp_neg(zp_primitive(zp_prem(chain[-2], chain[-1])))
@@ -320,6 +326,27 @@ def real_roots_with_multiplicities(p: ZP):
     separate([r for r, _ in roots])
     roots.sort(key=lambda rm: rm[0].lo)
     return roots
+
+
+def real_root_multiplicities(p: ZP):
+    """The multiplicities of the real roots of an integer polynomial, in
+    increasing root order; the roots themselves are not built.
+
+    The last entry of the Sturm chain of p is gcd(p, p') up to a constant.
+    When it is a constant, p is square-free and its V(-inf) - V(+inf) real
+    roots are all simple.  Otherwise roots of different square-free factors
+    must be put in order, which ``real_roots_with_multiplicities`` does.
+    Raises ValueError on the zero polynomial.
+    """
+    p = zp_primitive(p)
+    if not p:
+        raise ValueError("zero polynomial has no well-defined roots")
+    if len(p) == 1:
+        return []
+    chain = sturm_chain(p)
+    if len(chain[-1]) == 1:
+        return [1] * (sturm_variations_at_inf(chain, -1) - sturm_variations_at_inf(chain, 1))
+    return [m for _, m in real_roots_with_multiplicities(p)]
 
 
 def separate(numbers) -> None:

@@ -96,6 +96,27 @@ def test_factorwise_roots_match_the_expanded_product(data):
     assert all(a.hi <= b.lo for (a, _), (b, _) in zip(got, got[1:]))
 
 
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_counted_multiplicities_match_the_isolated_roots(data):
+    # zero parameters leave multiple roots, which random steps almost never
+    # do, so a third of the draws are zero
+    pattern = data.draw(st.sampled_from(PATTERNS_TO_NORM_8))
+    magnitude = data.draw(st.sampled_from(
+        [Fraction(1, 1000), Fraction(1, 2), Fraction(1), Fraction(3)]))
+    model = ModelPolynomial(pattern)
+    for key in model.parameters:
+        step = data.draw(st.one_of(st.just(0), st.integers(-1000, 1000)))
+        model.set_parameter(*key, magnitude * Fraction(step, 1000))
+    assert model.multiplicities() == [m for _, m in model.real_roots()]
+
+
+def test_counted_multiplicities_at_zero_parameters():
+    # every factor (u - i)^m is a multiple root in its own window
+    for pattern in PATTERNS_TO_NORM_8:
+        assert build_model(pattern).multiplicities() == list(pattern)
+
+
 def test_fallback_when_roots_of_two_factors_meet():
     # (u - 2)^2 - 1 has roots 1 and 3, on the roots of the factors u - 1 and
     # u - 3: the window certificate fails and multiplicities add
@@ -108,4 +129,5 @@ def test_fallback_when_roots_of_two_factors_meet():
     u = sp.symbols("u")
     poly = sp.Poly(list(reversed(model.coefficients())), u)
     assert sp.roots(poly) == {1: 2, 3: 2}
+    assert model.multiplicities() == [2, 2]
     assert model.trajectory_patterns() == ((2,), (2,))

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from trajspace import realroots
 from trajspace.bivar import SPoly, SturmHabicht
@@ -12,11 +12,13 @@ from trajspace.polys import (
     zp_from_fractions,
     zp_mul,
     zp_neg,
+    zp_pow,
     zp_squarefree_part,
 )
 from trajspace.realroots import (
     AlgebraicNumber,
     isolate_real_roots,
+    real_root_multiplicities,
     real_roots_with_multiplicities,
     root_bound,
     separate,
@@ -314,6 +316,37 @@ def test_no_real_roots():
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         real_roots_with_multiplicities(zp([0]))
+
+
+def test_root_multiplicities_edge_cases():
+    with pytest.raises(ValueError):
+        real_root_multiplicities(zp([0]))
+    assert real_root_multiplicities(zp([-7])) == []
+    assert real_root_multiplicities(zp([1, 0, 1])) == []            # x^2 + 1
+    assert real_root_multiplicities(zp([2, 0, -1])) == [1, 1]       # 2 - x^2
+    assert real_root_multiplicities(poly_from_roots(
+        [Fraction(r) for r in (-3, Fraction(1, 2), 2, 5)])) == [1, 1, 1, 1]
+    # squared factors: roots of different multiplicity come out in root order
+    double_one = zp_mul(zp_pow(zp([-1, 1]), 2), zp([-2, 1]))        # (x-1)^2 (x-2)
+    double_two = zp_mul(zp([-1, 1]), zp_pow(zp([-2, 1]), 2))        # (x-1) (x-2)^2
+    assert real_root_multiplicities(double_one) == [2, 1]
+    assert real_root_multiplicities(double_two) == [1, 2]
+    assert real_root_multiplicities(zp_neg(double_two)) == [1, 2]
+
+
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=5),
+       st.lists(st.integers(-5, 5), min_size=2, max_size=3),
+       st.integers(2, 3))
+@settings(max_examples=80, deadline=None)
+def test_root_multiplicities_match_sympy(f, g, k):
+    # f * g^k: the roots of g are multiple, and may coincide with roots of f
+    p = zp_mul(zp(f), zp_pow(zp(g), k))
+    assume(p)
+    sp = pytest.importorskip("sympy")
+    x = sp.symbols("x")
+    want = [m for _, m in sp.real_roots(sp.Poly(p[::-1], x), multiple=False)]
+    assert real_root_multiplicities(p) == want
+    assert real_root_multiplicities(p) == [m for _, m in real_roots_with_multiplicities(p)]
 
 
 def test_perturbed_double_root_trichotomy():
