@@ -22,7 +22,7 @@ def surface_simplicial_volume(genus: int) -> Fraction:
     return Fraction(4 * genus - 4)
 
 
-def hdelta_ranks_surface(scene_or_hole_count):
+def hdelta_ranks_surface(hole_count: int):
     """Ranks of the norm-quotient homology for DX (genus q) and X.
 
     Degree-1 ranks vanish for every space; the degree-2 rank of DX is 1
@@ -30,9 +30,8 @@ def hdelta_ranks_surface(scene_or_hole_count):
     homotopy type of a wedge of circles, so its ranks vanish in all
     positive degrees.
     """
-    q = getattr(scene_or_hole_count, "hole_count", scene_or_hole_count)
     return {
-        "DX": {"1": 0, "2": 1 if q >= 2 else 0},
+        "DX": {"1": 0, "2": 1 if hole_count >= 2 else 0},
         "X": {"1": 0, "2": 0},
     }
 

@@ -5,11 +5,18 @@ tangency-locus boundary points, 1-cells the boundary arcs (one copy, they
 live on the fixed locus) and the doubled tangent-trajectory segments,
 2-cells the doubled slabs.  The mirror copy carries the reversed
 orientation.  Smith normal form over ZZ gives ranks and torsion.
+
+Each boundary map is reduced once, when its complex is built; Betti
+numbers, torsion and the report read the stored (rank, divisors) pairs.
+The reduction pivots on the first entry of least absolute value in
+row-major order, so it stops its search at the first unit; the boundary
+maps here are almost all +-1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import gcd
 
 
 class BoundaryMismatch(Exception):
@@ -21,33 +28,40 @@ class ChainComplex:
     ranks: list                    # rank per degree, low to high
     boundaries: list               # boundaries[j]: matrix rank(j-1) x rank(j), j >= 1
     labels: list                   # basis labels per degree
+    reduced: list = field(init=False, repr=False)   # reduced[j]: smith_ranks(boundaries[j])
+
+    def __post_init__(self):
+        self.reduced = [(0, [])] + [smith_ranks(d) for d in self.boundaries[1:]]
 
     def check_dd_zero(self):
+        """d_{j-1} d_j = 0; each column of the product is built from the
+        nonzero entries of d_j's column only."""
         for j in range(2, len(self.ranks)):
             big = self.boundaries[j - 1]
             small = self.boundaries[j]
             if not big or not small:
                 continue
-            rows, mid = len(big), len(small)
-            cols = len(small[0]) if small else 0
-            for r in range(rows):
-                for c in range(cols):
-                    s = sum(big[r][k] * small[k][c] for k in range(mid))
-                    if s != 0:
-                        raise BoundaryMismatch(f"dd != 0 at degree {j}, entry ({r},{c})")
+            big_cols = [[(r, row[k]) for r, row in enumerate(big) if row[k]]
+                        for k in range(len(small))]
+            for c, col in enumerate(zip(*small)):
+                s = [0] * len(big)
+                for k, a in enumerate(col):
+                    if a:
+                        for r, b in big_cols[k]:
+                            s[r] += a * b
+                if any(s):
+                    r = next(r for r, v in enumerate(s) if v)
+                    raise BoundaryMismatch(f"dd != 0 at degree {j}, entry ({r},{c})")
 
     def betti_numbers(self):
-        n = len(self.ranks)
-        ranks_d = [0] * (n + 1)   # rank of boundary_j over QQ
-        for j in range(1, n):
-            ranks_d[j] = smith_ranks(self.boundaries[j])[0]
-        return [self.ranks[j] - ranks_d[j] - ranks_d[j + 1] for j in range(n)]
+        rank_d = [rank for rank, _ in self.reduced] + [0]   # rank of boundary_j over QQ
+        return [n - rank_d[j] - rank_d[j + 1] for j, n in enumerate(self.ranks)]
 
     def torsion(self):
         """Nontrivial elementary divisors of each boundary map."""
         out = {}
-        for j in range(1, len(self.ranks)):
-            divs = [d for d in smith_ranks(self.boundaries[j])[1] if abs(d) > 1]
+        for j, (_, divisors) in enumerate(self.reduced):
+            divs = [d for d in divisors if d > 1]
             if divs:
                 out[j] = divs
         return out
@@ -76,12 +90,7 @@ def smith_ranks(matrix):
     divisors = []
     top = 0
     while top < min(rows, cols):
-        # find a nonzero pivot with the least absolute value
-        piv = None
-        for r in range(top, rows):
-            for c in range(top, cols):
-                if m[r][c] != 0 and (piv is None or abs(m[r][c]) < abs(m[piv[0]][piv[1]])):
-                    piv = (r, c)
+        piv = _least_entry(m, top)
         if piv is None:
             break
         r0, c0 = piv
@@ -109,7 +118,6 @@ def smith_ranks(matrix):
         divisors.append(abs(m[top][top]))
         top += 1
     # normalize divisibility chain d1 | d2 | ...
-    from math import gcd
     changed = True
     while changed:
         changed = False
@@ -120,6 +128,22 @@ def smith_ranks(matrix):
                 divisors[i], divisors[i + 1] = g, a * b // g
                 changed = True
     return len(divisors), divisors
+
+
+def _least_entry(m, top):
+    """The first (row-major) nonzero entry of least absolute value in the
+    block m[top:][top:], or None if the block is zero.  The search stops at
+    the first unit: no nonzero entry is smaller."""
+    piv, least = None, 0
+    for r in range(top, len(m)):
+        row = m[r]
+        for c in range(top, len(row)):
+            a = abs(row[c])
+            if a and (piv is None or a < least):
+                if a == 1:
+                    return r, c
+                piv, least = (r, c), a
+    return piv
 
 
 def graph_chain_complex(graph) -> ChainComplex:
@@ -172,6 +196,7 @@ def cw_complex_of_double(table) -> ChainComplex:
             cells1 += [f"DX/{e.id}/syn/full/+", f"DX/{e.id}/syn/full/-"]
     i0 = {c: i for i, c in enumerate(cells0)}
     i1 = {c: i for i, c in enumerate(cells1)}
+    i2 = {c: i for i, c in enumerate(cells2)}
 
     verts = {v.id: v for v in graph.vertices}
     edges = {e.id: e for e in graph.edges}
@@ -227,7 +252,7 @@ def cw_complex_of_double(table) -> ChainComplex:
     d2 = [[0] * len(cells2) for _ in cells1]
     for e in edges.values():
         for copy in (0, 1):
-            col = cells2.index(slab(e.id, copy))
+            col = i2[slab(e.id, copy)]
             orient = 1 if copy == 0 else -1
             d2[i1[arc(e.id, "entry")]][col] += orient
             d2[i1[arc(e.id, "exit")]][col] -= orient
@@ -239,7 +264,3 @@ def cw_complex_of_double(table) -> ChainComplex:
                       [None, d1, d2], [cells0, cells1, cells2])
     cc.check_dd_zero()
     return cc
-
-
-def euler_characteristic(complex_: ChainComplex) -> int:
-    return complex_.euler_characteristic()

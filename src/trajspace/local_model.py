@@ -9,10 +9,10 @@ parameters and reading off the multiplicities of the real roots, in root
 order, gives the nearby trajectory patterns; sampling small random rational
 parameters is the numeric oracle that validates the combinatorial
 ``resolutions``.  The oracle only counts (``ModelPolynomial.multiplicities``:
-a Sturm chain per factor); ``real_roots`` isolates the roots for callers
-that need the roots themselves.
+a Sturm chain per factor); ``real_roots`` isolates the roots of the
+expanded product for callers that need the roots themselves.
 
-Both work one factor at a time.  In y = u - i the i-th factor is
+Counting works one factor at a time.  In y = u - i the i-th factor is
 g_i(y) = y^m + sum_l x_l y^l; cleared of denominators it is
 den*y^m + sum_l c_l y^l.  Window certificate: if sum_l |c_l| 2^(m-l) < den,
 every root of g_i has |y| < 1/2, since for |y| >= 1/2
@@ -20,12 +20,11 @@ every root of g_i has |y| < 1/2, since for |y| >= 1/2
     |g_i(y)| >= |y|^m (1 - sum_l |x_l| 2^(m-l)) > 0.
 
 When every factor passes, the factors' roots lie in the disjoint windows
-(i - 1/2, i + 1/2), so the product's ordered (root, multiplicity) list is
-the concatenation of the factors' lists in order of i, each root's defining
-polynomial Taylor-shifted back to u.  Otherwise (large parameters, where
-roots of two factors may meet and their multiplicities add) the expanded
-product is handled as a whole.  A simple factor u - i has no parameters;
-its root is the integer i.
+(i - 1/2, i + 1/2), so the product's multiplicities in root order are the
+concatenation of the factors' lists in order of i.  Otherwise (large
+parameters, where roots of two factors may meet and their multiplicities
+add) the expanded product is counted as a whole.  A simple factor u - i has
+no parameters; its one root is the integer i.
 """
 
 from __future__ import annotations
@@ -36,11 +35,7 @@ from math import lcm
 
 from . import omega
 from .polys import zp_mul, zp_shift
-from .realroots import (
-    AlgebraicNumber,
-    real_root_multiplicities,
-    real_roots_with_multiplicities,
-)
+from .realroots import real_root_multiplicities, real_roots_with_multiplicities
 
 __all__ = ["ModelPolynomial", "build_model", "sampled_patterns",
            "chamber_count", "oracle_containment"]
@@ -86,34 +81,17 @@ class ModelPolynomial:
         return [Fraction(c, scale) for c in _expand(factors)]
 
     def real_roots(self):
-        """Ordered (root, multiplicity) pairs of the current polynomial.
-
-        Factor by factor when every factor passes the window certificate
-        (module docstring), each isolating interval cut to its factor's
-        window [i - 1/2, i + 1/2]; otherwise from the expanded product.
-        """
-        den, factors = self._factors()
-        if not _certified(den, factors):
-            return real_roots_with_multiplicities(_expand(factors))
-        half = Fraction(1, 2)
-        roots = []
-        for i, g in factors:
-            if len(g) == 2:  # u - i has no parameters
-                roots.append((AlgebraicNumber.from_rational(i), 1))
-                continue
-            for r, mult in real_roots_with_multiplicities(g):
-                # the root lies in (-1/2, 1/2), whose ends are no roots of g
-                lo, hi = max(r.lo, -half), min(r.hi, half)
-                roots.append((AlgebraicNumber(zp_shift(r.poly, -i), lo + i, hi + i), mult))
-        return roots
+        """Ordered (root, multiplicity) pairs of the current polynomial,
+        isolated on the expanded product."""
+        return real_roots_with_multiplicities(_expand(self._factors()[1]))
 
     def multiplicities(self):
         """Multiplicities of the real roots of the current polynomial, in
         increasing root order, counted without isolating the roots.
 
-        Factor by factor under the same window certificate as
-        ``real_roots``, a simple factor u - i giving [1]; otherwise from
-        the expanded product.
+        Factor by factor under the window certificate (module docstring),
+        a simple factor u - i giving [1]; otherwise from the expanded
+        product.
         """
         den, factors = self._factors()
         if not _certified(den, factors):

@@ -56,7 +56,7 @@ def analyze_scene_with_graph(scene, seed: int = 0):
         raise AnalysisError("DEGENERATE", doc) from exc
     doc["genericity"] = {"verdict": "PASS", "events": graph.vertex_count}
 
-    b0 = homology.graph_homology_ranks(graph)[0]
+    b0, b1 = homology.graph_homology_ranks(graph)
     if b0 != 1:
         doc["validation"]["checks"].append(
             {"name": "region_connected", "ok": False,
@@ -101,7 +101,6 @@ def analyze_scene_with_graph(scene, seed: int = 0):
 
     dx = homology.cw_complex_of_double(table)
     graph_cc = homology.graph_chain_complex(graph)
-    b0, b1 = homology.graph_homology_ranks(graph)
     doc["homology"] = {
         "trajectory_space": {
             "ranks": graph_cc.ranks,

@@ -82,9 +82,6 @@ class StrataTable:
         return spaces
 
 
-V_PATTERN_DIM = {(2,): 0, (1, 2, 1): 0}
-
-
 def build_strata(graph, scene=None) -> StrataTable:
     table = StrataTable(graph)
     add = table.strata.append

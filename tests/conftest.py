@@ -20,6 +20,34 @@ GENERIC_FIXTURES = ["disk.json", "disk1.json", "disk2.json", "disk3.json",
                     "disk4.json", "annulus3.json", "fig1.json"]
 
 
+def holes_scene(n: int):
+    """The stress scene holesN: n small circular holes in a large disk
+    under the constant field (3, 7).
+
+    Outer circle at the origin with radius 3n/2 + 6; hole i < n has radius
+    1/3 and centre ((2x + i mod 3)/2, (2y + 1)/3) with
+    x = 3i + 1 - 3*(n // 2) and y = (7i mod 5) - 2; bbox +-(3n/2 + 8).
+    Built in memory: the corpus benchmark globs fixtures/*.json.
+    """
+    def circle(cx, cy, r, sign):
+        return {"curve": {"type": "circle", "center": [cx, cy], "radius": r},
+                "inside_sign": sign}
+
+    holes = []
+    for i in range(n):
+        x = 3 * i + 1 - 3 * (n // 2)
+        y = (7 * i) % 5 - 2
+        holes.append(circle([2 * x + i % 3, 2], [2 * y + 1, 3], [1, 3], -1))
+    lo, hi = [-(3 * n + 16), 2], [3 * n + 16, 2]
+    doc = {
+        "field": {"kind": "constant", "direction": [[3, 1], [7, 1]]},
+        "outer": circle([0, 1], [0, 1], [3 * n + 12, 2], 1),
+        "holes": holes,
+        "bbox": [lo, hi, lo, hi],
+    }
+    return geometry.parse_scene(doc, name=f"holes{n}")
+
+
 class Analyzed:
     def __init__(self, name):
         self.name = name

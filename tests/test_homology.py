@@ -1,9 +1,11 @@
+import copy
+
 import pytest
 
-from trajspace import homology, strata, sweep
-from trajspace.homology import smith_ranks
+from trajspace import homology, report, strata, sweep
+from trajspace.homology import BoundaryMismatch, smith_ranks
 
-from conftest import load_fixture
+from conftest import GENERIC_FIXTURES, analyzed, holes_scene, load_fixture
 
 
 @pytest.mark.parametrize("matrix,rank,divisors", [
@@ -75,10 +77,12 @@ from math import gcd as _gcd
 
 from hypothesis import given, settings, strategies as st
 
-int_matrix = st.integers(1, 3).flatmap(
-    lambda r: st.integers(1, 3).flatmap(
-        lambda c: st.lists(st.lists(st.integers(-6, 6), min_size=c, max_size=c),
-                           min_size=r, max_size=r)))
+
+def int_matrices(max_dim, bound):
+    return st.integers(1, max_dim).flatmap(
+        lambda r: st.integers(1, max_dim).flatmap(
+            lambda c: st.lists(st.lists(st.integers(-bound, bound), min_size=c, max_size=c),
+                               min_size=r, max_size=r)))
 
 
 def _minor_det(m):
@@ -97,7 +101,7 @@ def _minors_gcd(m, k):
     return g
 
 
-@given(int_matrix)
+@given(int_matrices(3, 6))
 @settings(max_examples=120, deadline=None)
 def test_smith_divisors_match_determinantal_divisors(m):
     # d_1 ... d_k equals the gcd of all k x k minors: an independent oracle
@@ -109,3 +113,77 @@ def test_smith_divisors_match_determinantal_divisors(m):
         assert _minors_gcd(m, k) == prod
     if rank < min(len(m), len(m[0])):
         assert _minors_gcd(m, rank + 1) == 0
+
+
+def _sympy_smith(m):
+    """(rank, |nonzero diagonal|) of sympy's Smith normal form over ZZ."""
+    sp = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    snf = smith_normal_form(sp.Matrix(m), domain=sp.ZZ)
+    diag = [abs(int(snf[i, i])) for i in range(min(snf.shape)) if snf[i, i] != 0]
+    return len(diag), diag
+
+
+@given(int_matrices(6, 4))
+@settings(max_examples=150, deadline=None)
+def test_smith_matches_sympy_on_small_matrices(m):
+    assert smith_ranks(m) == _sympy_smith(m)
+
+
+@pytest.mark.parametrize("name", GENERIC_FIXTURES)
+def test_smith_matches_sympy_on_fixture_boundaries(name):
+    a = analyzed(name)
+    for cc in (homology.graph_chain_complex(a.graph), a.double):
+        for j, d in enumerate(cc.boundaries[1:], 1):
+            assert cc.reduced[j] == smith_ranks(d) == _sympy_smith(d)
+
+
+@pytest.fixture
+def smith_calls(monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return smith_ranks(matrix)
+
+    monkeypatch.setattr(homology, "smith_ranks", counting)
+    return calls
+
+
+def test_report_reduces_each_boundary_map_once(smith_calls):
+    # one graph complex for the connectivity check, one for the report and
+    # the double's two maps
+    report.analyze_scene(load_fixture("fig1.json"))
+    assert len(smith_calls) == 4
+
+
+def test_complex_reads_stored_reductions(fig1, smith_calls):
+    cc = homology.graph_chain_complex(fig1.graph)
+    assert len(smith_calls) == 1
+    for complex_ in (cc, fig1.double):
+        for _ in range(2):
+            complex_.betti_numbers()
+            complex_.torsion()
+            complex_.to_dict()
+    assert len(smith_calls) == 1
+
+
+def test_dd_check_catches_one_flipped_sign(fig1):
+    dx = copy.deepcopy(fig1.double)
+    dx.check_dd_zero()
+    d2 = dx.boundaries[2]
+    r, c = next((r, c) for r, row in enumerate(d2) for c, v in enumerate(row) if v)
+    d2[r][c] = -d2[r][c]
+    with pytest.raises(BoundaryMismatch, match=r"dd != 0 at degree 2, entry \(\d+,%d\)" % c):
+        dx.check_dd_zero()
+
+
+def test_eight_holes():
+    scene = holes_scene(8)
+    doc, graph = report.analyze_scene_with_graph(scene)
+    assert doc["validation"]["ok"]
+    assert doc["genericity"]["verdict"] == "PASS"
+    assert doc["homology"]["double"]["betti"] == [1, 16, 1]
+    assert doc["homology"]["double"]["torsion"] == {}
+    assert homology.graph_homology_ranks(graph) == (1, 8)
+    assert doc["bounds"]["all_pass"]

@@ -11,8 +11,6 @@ from trajspace.local_model import (
     sampled_patterns,
 )
 from trajspace.omega import enumerate_patterns, norm, resolutions
-from trajspace.polys import zp_from_fractions
-from trajspace.realroots import real_roots_with_multiplicities
 
 PATTERNS_TO_NORM_8 = [p for p in enumerate_patterns(7) if norm(p) <= 8]
 
@@ -73,27 +71,6 @@ def test_root_parity_invariant():
 def test_bad_magnitude_rejected():
     with pytest.raises(ValueError):
         sampled_patterns((2,), 5, 0)
-
-
-@given(st.data())
-@settings(max_examples=80, deadline=None)
-def test_factorwise_roots_match_the_expanded_product(data):
-    # magnitude 1/1000 always passes the window certificate; from 1/2 up
-    # many draws fail it and take the expanded-product path
-    pattern = data.draw(st.sampled_from(PATTERNS_TO_NORM_8))
-    magnitude = data.draw(st.sampled_from(
-        [Fraction(1, 1000), Fraction(1, 2), Fraction(1), Fraction(3)]))
-    model = ModelPolynomial(pattern)
-    for key in model.parameters:
-        step = data.draw(st.integers(-1000, 1000))
-        model.set_parameter(*key, magnitude * Fraction(step, 1000))
-    got = model.real_roots()
-    want = real_roots_with_multiplicities(zp_from_fractions(model.coefficients()))
-    assert [m for _, m in got] == [m for _, m in want]
-    for (r, _), (s, _) in zip(got, want):
-        assert r.equals(s)
-    # sorted, and no two isolating intervals share more than an endpoint
-    assert all(a.hi <= b.lo for (a, _), (b, _) in zip(got, got[1:]))
 
 
 @given(st.data())
