@@ -8,7 +8,10 @@ covers the exit code and the three outputs (a rejected scene has only a
 report).  The seam line covers the same three outputs of the radial scene
 in `tests/test_sweep.py::test_seam_rotation_retry`, the one scene whose
 sweep rotates its charts (seam rotation 1/7), so its SVG draws trajectory
-lines through the rotated float view.  The last three lines cover the
+lines through the rotated float view.  The holes8 line covers the stress
+scene with eight small holes under the field (3, 7), whose sweep meets 16
+merge/split (121) and 2 birth/death (2) events; `holes_doc` builds it in
+memory from its formula.  The last three lines cover the
 oracle's observed pattern sets for all 30 patterns of norm <= 8 (200
 samples, seed 0), which depend on root counting but on no scene.  At
 magnitude 1/1000 every sample passes the window certificate of
@@ -48,6 +51,26 @@ SEAM_SCENE = {
     "bbox": [[-5, 1], [5, 1], [-5, 1], [5, 1]]}
 
 
+def holes_doc(n):
+    """The stress scene holesN: n holes of radius 1/3 in a disk of radius
+    3n/2 + 6 under the field (3, 7).  Hole i has centre ((2x + i mod 3)/2,
+    (2y + 1)/3) with x = 3i + 1 - 3(n // 2) and y = (7i mod 5) - 2; the
+    bbox is +-(3n/2 + 8)."""
+    def circle(cx, cy, r, sign):
+        return {"curve": {"type": "circle", "center": [cx, cy], "radius": r},
+                "inside_sign": sign}
+
+    holes = []
+    for i in range(n):
+        x = 3 * i + 1 - 3 * (n // 2)
+        y = (7 * i) % 5 - 2
+        holes.append(circle([2 * x + i % 3, 2], [2 * y + 1, 3], [1, 3], -1))
+    lo, hi = [-(3 * n + 16), 2], [3 * n + 16, 2]
+    return {"field": {"kind": "constant", "direction": [[3, 1], [7, 1]]},
+            "outer": circle([0, 1], [0, 1], [3 * n + 12, 2], 1),
+            "holes": holes, "bbox": [lo, hi, lo, hi]}
+
+
 def scene_digest(path, tmp):
     outs = [tmp / "report.json", tmp / "scene.dot", tmp / "scene.svg"]
     for out in outs:
@@ -80,6 +103,9 @@ def main():
         seam = pathlib.Path(tmp) / "seamhole.json"
         seam.write_text(json.dumps(SEAM_SCENE))
         print(f"{scene_digest(seam, pathlib.Path(tmp))}  seam: radial scene rotated by 1/7", flush=True)
+        holes = pathlib.Path(tmp) / "holes8.json"
+        holes.write_text(json.dumps(holes_doc(8)))
+        print(f"{scene_digest(holes, pathlib.Path(tmp))}  holes8: 8 holes under (3,7)", flush=True)
     digest, count = oracle_digest(Fraction(1, 1000))
     print(f"{digest}  oracle: {count} patterns of norm <= 8", flush=True)
     digest, count = oracle_digest(Fraction(1, 2))

@@ -27,7 +27,6 @@ class BoundaryMismatch(Exception):
 class ChainComplex:
     ranks: list                    # rank per degree, low to high
     boundaries: list               # boundaries[j]: matrix rank(j-1) x rank(j), j >= 1
-    labels: list                   # basis labels per degree
     reduced: list = field(init=False, repr=False)   # reduced[j]: smith_ranks(boundaries[j])
 
     def __post_init__(self):
@@ -153,10 +152,8 @@ def graph_chain_complex(graph) -> ChainComplex:
     the graph's singular homology they are subdivided in
     ``graph_homology_ranks``.
     """
-    vs = [v.id for v in graph.vertices]
-    es = [e.id for e in graph.edges]
-    vidx = {v: i for i, v in enumerate(vs)}
-    d1 = [[0] * len(es) for _ in vs]
+    vidx = {v.id: i for i, v in enumerate(graph.vertices)}
+    d1 = [[0] * len(graph.edges) for _ in vidx]
     for c, e in enumerate(graph.edges):
         ends = []
         for vid, role, edge_on_left in e.attachments:
@@ -165,12 +162,12 @@ def graph_chain_complex(graph) -> ChainComplex:
             ends.append((vid, 1 if edge_on_left else -1))
         for vid, sign in ends:
             d1[vidx[vid]][c] += sign
-    return ChainComplex([len(vs), len(es)], [None, d1], [vs, es])
+    return ChainComplex([len(vidx), len(graph.edges)], [None, d1])
 
 
-def graph_homology_ranks(graph):
-    """(b0, b1) of the topological graph (loops count as circles)."""
-    cc = graph_chain_complex(graph)
+def graph_homology_ranks(graph, cc: ChainComplex):
+    """(b0, b1) of the topological graph (loops count as circles), from its
+    cellular complex ``cc = graph_chain_complex(graph)``."""
     loops = sum(1 for e in graph.edges if e.is_loop)
     b = cc.betti_numbers()
     # each loop edge is a circle component: one extra b0 and its b1 is
@@ -260,7 +257,6 @@ def cw_complex_of_double(table) -> ChainComplex:
                 sgn = orient * (1 if onleft else -1)
                 for which in SIDE_SEGS[role]:
                     d2[i1[seg(vid, which, copy)]][col] += sgn
-    cc = ChainComplex([len(cells0), len(cells1), len(cells2)],
-                      [None, d1, d2], [cells0, cells1, cells2])
+    cc = ChainComplex([len(cells0), len(cells1), len(cells2)], [None, d1, d2])
     cc.check_dd_zero()
     return cc

@@ -56,7 +56,8 @@ def analyze_scene_with_graph(scene, seed: int = 0):
         raise AnalysisError("DEGENERATE", doc) from exc
     doc["genericity"] = {"verdict": "PASS", "events": graph.vertex_count}
 
-    b0, b1 = homology.graph_homology_ranks(graph)
+    graph_cc = homology.graph_chain_complex(graph)
+    b0, b1 = homology.graph_homology_ranks(graph, graph_cc)
     if b0 != 1:
         doc["validation"]["checks"].append(
             {"name": "region_connected", "ok": False,
@@ -100,7 +101,6 @@ def analyze_scene_with_graph(scene, seed: int = 0):
     doc["minimal_strata"] = strata.minimal_strata(table)
 
     dx = homology.cw_complex_of_double(table)
-    graph_cc = homology.graph_chain_complex(graph)
     doc["homology"] = {
         "trajectory_space": {
             "ranks": graph_cc.ranks,

@@ -124,12 +124,6 @@ def build_strata(graph, scene=None) -> StrataTable:
     return table
 
 
-def filtration(table: StrataTable, space: str, j: int):
-    """Ids of strata of codimension >= j in the chosen space (n = 1)."""
-    top = {"Tv": 1, "X": 2, "DX": 2}[space]
-    return sorted(s.id for s in table.of(space) if top - s.dimension >= j)
-
-
 @dataclass
 class ComplexityVector:
     tc: tuple                 # (tc_0, tc_1)

@@ -6,6 +6,14 @@ sample line into trajectories by exact sign tests, and match trajectories
 across events using crossing identities (component, ordinal) rather than
 numeric proximity.  Vertices are tangency events; a univalent vertex is a
 birth/death (pattern (2)), a trivalent one a merge/split (pattern (121)).
+
+At an event, component K has two more crossings on one side (the richer
+cell) than on the other.  Sturm counts at a pair of probes straddling the
+event give the excision index j: the pair born at the tangency is the
+richer side's crossings (K, j) and (K, j + 1), adjacent in the merged
+order.  The pattern is then read off the richer cell, whose gaps were each
+point-tested once when it was sampled: (2) exactly when it has a trajectory
+from (K, j) to (K, j + 1), (121) otherwise.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from .bivar import substitute_line_family
 from .events import DegenerateScene, ParamEvent, component_events
 from .polys import zp_degree, zp_sign_at, zp_squarefree_part
 from .realroots import (
+    REFINE_BUDGET,
     real_roots_with_multiplicities,
     separate,
     sturm_chain,
@@ -130,16 +139,17 @@ class _Cell:
     comp_roots: list      # per component: list of AlgebraicNumber (crossings)
     order: list           # merged [(comp, idx)] by increasing s
     trajectories: list    # [(entry_pos, exit_pos)] positions into order
-    lo: Fraction = None
-    hi: Fraction = None
+    lo: Fraction          # rational bounds of the cell; sample is their midpoint
+    hi: Fraction
 
     def traj_ids(self, t):
         en, ex = self.trajectories[t]
         return (self.order[en], self.order[ex])
 
 
-def _sample_cell(scene, spolys, chart, q, c: Fraction) -> _Cell:
+def _sample_cell(scene, spolys, chart, q, lo: Fraction, hi: Fraction) -> _Cell:
     radial = scene.field.kind == "radial"
+    c = (lo + hi) / 2
     comp_roots = []
     for G in spolys[chart]:
         p = G.at_param(c)
@@ -173,12 +183,15 @@ def _sample_cell(scene, spolys, chart, q, c: Fraction) -> _Cell:
             if n == 0:
                 t = Fraction(1) if radial else Fraction(0)
             else:
-                lo0 = tagged[0][2].lo
-                t = lo0 / 2 if radial else lo0 - 1
+                first = tagged[0][2]
                 if radial:
-                    while t <= 0:
-                        tagged[0][2].refine()
-                        t = tagged[0][2].lo / 2
+                    for _ in range(REFINE_BUDGET):
+                        if first.lo > 0:
+                            break
+                        first.refine()
+                    else:
+                        raise MatchingAmbiguous("first crossing not separated from the centre")
+                t = first.lo / 2 if radial else first.lo - 1
         elif g == n:
             t = tagged[-1][2].hi + 1
         else:
@@ -190,7 +203,7 @@ def _sample_cell(scene, spolys, chart, q, c: Fraction) -> _Cell:
     if any(inside[g] and inside[g + 1] for g in range(n)):
         raise MatchingAmbiguous("inside runs must be bounded by crossings")
     traj = [(g - 1, g) for g in range(1, n) if inside[g]]
-    return _Cell(chart, c, comp_roots, order, traj)
+    return _Cell(chart, c, comp_roots, order, traj, lo, hi)
 
 # --- event-boundary matching -------------------------------------------------
 
@@ -235,33 +248,9 @@ def _window_counts(p, radial: bool, r_lo: Fraction, r_hi: Fraction):
     return start - sturm_variations_at_inf(chain, 1), start - v_lo, inside
 
 
-class _EventMatch:
-    """Resolved matching data for one event boundary."""
-
-    def __init__(self, ev, pattern, richer_is_left, pair_indices, excision_index,
-                 left_cell, right_cell):
-        self.ev = ev
-        self.pattern = pattern            # (2,) or (1, 2, 1)
-        self.richer_is_left = richer_is_left
-        self.pair = pair_indices          # (j, j+1) on the richer side
-        self.j = excision_index
-        self.left_cell = left_cell
-        self.right_cell = right_cell
-
-    def map_id(self, cid):
-        """Crossing id (comp, idx) from the richer side to the poorer side."""
-        comp, idx = cid
-        if comp != self.ev.component:
-            return cid
-        j = self.j
-        if idx in (j, j + 1):
-            return None
-        return (comp, idx if idx < j else idx - 2)
-
-
-def _resolve_event(scene, spolys, q, ev: ParamEvent, left_cell: _Cell,
-                   right_cell: _Cell) -> _EventMatch:
-    radial = scene.field.kind == "radial"
+def _resolve_event(G, radial: bool, ev: ParamEvent, left_cell: _Cell, right_cell: _Cell):
+    """(richer_is_left, j): which cell has component K's two extra
+    crossings, and the excision index j of the pair born at the event."""
     K = ev.component
     nl, nr = len(left_cell.comp_roots[K]), len(right_cell.comp_roots[K])
     if abs(nl - nr) != 2:
@@ -269,7 +258,6 @@ def _resolve_event(scene, spolys, q, ev: ParamEvent, left_cell: _Cell,
             f"crossing count changed by {nl - nr} across event at {float(ev.alpha):.6g}")
     richer_is_left = nl > nr
     r_lo, r_hi = _isolate_sstar_window(ev, radial)
-    G = spolys[ev.chart]
 
     # probes straddling alpha, strictly inside the adjacent cells, converging
     # to alpha; rational event parameters need explicit geometric shrinking
@@ -302,21 +290,9 @@ def _resolve_event(scene, spolys, q, ev: ParamEvent, left_cell: _Cell,
                         for c in (rich_c, poor_c))):
             if poor_j != j:
                 raise MatchingAmbiguous("excision index mismatch across event")
-            break
+            return richer_is_left, j
         ev.alpha.refine()
-    else:
-        raise MatchingAmbiguous("pair localization did not converge")
-
-    # between-the-pair region test on the richer side decides (2) vs (121)
-    roots = [r for r, _ in real_roots_with_multiplicities(G[K].at_param(rich_c))
-             if not radial or r.compare_rational(Fraction(0)) > 0]
-    # disjoint and sorted, as real_roots_with_multiplicities returns them
-    mid = (roots[j].hi + roots[j + 1].lo) / 2
-    x, y = geometry.trajectory_line(scene.field, rich_c, ev.chart, q).point_at(mid)
-    between_inside = scene.contains(x, y)
-    pattern = (2,) if between_inside else (1, 2, 1)
-    return _EventMatch(ev, pattern, richer_is_left, (j, j + 1), j,
-                       left_cell, right_cell)
+    raise MatchingAmbiguous("pair localization did not converge")
 
 
 # --- graph assembly ----------------------------------------------------------
@@ -407,112 +383,85 @@ def build_trajectory_space(scene) -> TrajectoryGraph:
     radial = scene.field.kind == "radial"
     lo, hi = geometry.sweep_param_range(scene)
 
-    # cells per chart: between consecutive events (and chart edges)
-    per_chart = {c: [e for e in events if e.chart == c] for c in charts}
-    cells = []
-    boundaries = []  # aligned: boundary[i] sits after cells[i]
+    # cells per chart between consecutive events and the chart ends;
+    # boundaries[i] sits after cells[i]: its event, or None at a chart end
+    cells, boundaries = [], []
     for chart in charts:
-        evs = per_chart[chart]
+        evs = [e for e in events if e.chart == chart]
         bounds = [lo] + [e.alpha for e in evs] + [hi]
-        for i in range(len(bounds) - 1):
-            left, right = bounds[i], bounds[i + 1]
-            lval = left if isinstance(left, Fraction) else left.hi
-            rval = right if isinstance(right, Fraction) else right.lo
-            while lval >= rval:
-                if not isinstance(left, Fraction):
-                    left.refine()
-                    lval = left.hi
-                if not isinstance(right, Fraction):
-                    right.refine()
-                    rval = right.lo
-                if isinstance(left, Fraction) and isinstance(right, Fraction):
-                    raise MatchingAmbiguous("empty cell between fixed bounds")
-            sample = (lval + rval) / 2
-            cells.append(_sample_cell(scene, spolys, chart, q, sample))
-            cells[-1].lo, cells[-1].hi = lval, rval
-            if i < len(bounds) - 2:
-                boundaries.append(("event", evs[i]))
-        boundaries.append(("seam", chart))
-    # constant fields: outermost cells must be empty and the trailing "seam"
-    # boundaries are inert; radial: the two seams glue chart transitions
-    if not radial:
-        first, last = cells[0], cells[-1]
-        if first.trajectories or last.trajectories:
-            raise MatchingAmbiguous("scene region escapes the sweep range")
+        for left, right in zip(bounds, bounds[1:]):
+            cells.append(_sample_cell(scene, spolys, chart, q, *_cell_bounds(left, right)))
+        boundaries += evs + [None]
+    # constant fields: outermost cells must be empty and chart ends are
+    # inert; radial: the two chart ends glue across the seams
+    if not radial and (cells[0].trajectories or cells[-1].trajectories):
+        raise MatchingAmbiguous("scene region escapes the sweep range")
 
     uf = _UnionFind()
     vertices = []
-    vertex_records = {}   # vertex id -> Vertex
-    edge_attach = []      # (cell_idx, traj_idx, vertex_id, role, edge_on_left)
+    attach = []     # ((cell_idx, traj_idx), vertex, role, edge_on_left)
+    for i, ev in enumerate(boundaries):
+        k = (i + 1) % len(cells)
+        if ev is None:
+            if radial:
+                _match_seam(uf, i, k, cells[i], cells[k])
+            continue
+        richer_is_left, j = _resolve_event(spolys[ev.chart], radial, ev, cells[i], cells[k])
+        vertices.append(_apply_event(uf, cells, i, k, ev, richer_is_left, j,
+                                     f"v{len(vertices)}", attach, scene, q))
 
-    n_cells = len(cells)
-    boundary_list = []
-    for i in range(n_cells):
-        kind = boundaries[i]
-        j = (i + 1) % n_cells
-        boundary_list.append((i, j, kind))
-
-    for i, j, kind in boundary_list:
-        left_cell, right_cell = cells[i], cells[j]
-        if kind[0] == "seam":
-            if not radial:
-                continue
-            _match_seam(uf, i, j, left_cell, right_cell)
-        else:
-            ev = kind[1]
-            match = _resolve_event(scene, spolys, q, ev, left_cell, right_cell)
-            vid = f"v{len(vertices)}"
-            vx = _apply_event(uf, i, j, match, vid, edge_attach, scene, q)
-            vertices.append(vx)
-            vertex_records[vid] = vx
-
-    # collect edges from union-find classes
-    members = {}
+    # one edge per union-find class, in the order of their first members
+    members, atts = {}, {}
     for ci, cell in enumerate(cells):
         for ti in range(len(cell.trajectories)):
-            root = uf.find((ci, ti))
-            members.setdefault(root, []).append((ci, ti))
-    edge_list = sorted(members.values(), key=lambda ms: min(ms))
+            members.setdefault(uf.find((ci, ti)), []).append((ci, ti))
+    for key, vx, role, onleft in attach:
+        atts.setdefault(uf.find(key), []).append((vx, role, onleft))
     edges = []
-    for k, ms in enumerate(edge_list):
-        eid = f"e{k}"
-        ms_sorted = sorted(ms)
-        ci0, ti0 = ms_sorted[0]
-        en_id, ex_id = cells[ci0].traj_ids(ti0)
-        entry_comp, exit_comp = en_id[0], ex_id[0]
-        atts = [(vid, role, onleft) for (ci, ti, vid, role, onleft) in edge_attach
-                if uf.find((ci, ti)) == uf.find((ci0, ti0))]
-        intervals = _edge_intervals(cells, ms_sorted)
+    for root, ms in members.items():
+        eid = f"e{len(edges)}"
+        en_id, ex_id = cells[ms[0][0]].traj_ids(ms[0][1])
         samples = []
-        for ci, ti in ms_sorted:
+        for ci, ti in ms:
             cell = cells[ci]
-            en, ex = cell.trajectories[ti]
-            lo_r = cell.comp_roots[cell.order[en][0]][cell.order[en][1]]
-            hi_r = cell.comp_roots[cell.order[ex][0]][cell.order[ex][1]]
-            samples.append((cell.chart, float(cell.sample), float(lo_r), float(hi_r)))
-        e = Edge(eid, (1, 1), entry_comp, exit_comp, intervals, atts,
-                 is_loop=(len(atts) == 0), samples=samples)
-        edges.append(e)
-        for vid, role, onleft in atts:
-            vertex_records[vid].edge_roles.append((eid, role, onleft))
+            (ce, ie), (cx, ix) = cell.traj_ids(ti)
+            samples.append((cell.chart, float(cell.sample),
+                            float(cell.comp_roots[ce][ie]), float(cell.comp_roots[cx][ix])))
+        ends = atts.get(root, [])
+        edges.append(Edge(eid, (1, 1), en_id[0], ex_id[0], _edge_intervals(cells, ms),
+                          [(vx.id, role, onleft) for vx, role, onleft in ends],
+                          is_loop=not ends, samples=samples))
+        for vx, role, onleft in ends:
+            vx.edge_roles.append((eid, role, onleft))
 
     graph = TrajectoryGraph(vertices, edges, scene, seam_rotation=q)
     _check_degrees(graph)
     return graph
 
 
+def _cell_bounds(left, right):
+    """Rationals lo < hi inside the cell between two sweep bounds, each a
+    Fraction or an event's AlgebraicNumber, refining the events as needed."""
+    for _ in range(REFINE_BUDGET):
+        lo = left if isinstance(left, Fraction) else left.hi
+        hi = right if isinstance(right, Fraction) else right.lo
+        if lo < hi:
+            return lo, hi
+        for bound in (left, right):
+            if not isinstance(bound, Fraction):
+                bound.refine()
+    raise MatchingAmbiguous("empty cell between sweep bounds")
+
+
 def _edge_intervals(cells, members):
     spans = {}
-    for ci, ti in members:
+    for ci, _ in members:
         cell = cells[ci]
-        lo = float(cell.lo) if cell.lo is not None else float(cell.sample)
-        hi = float(cell.hi) if cell.hi is not None else float(cell.sample)
-        key = cell.chart
-        if key in spans:
-            spans[key] = (min(spans[key][0], lo), max(spans[key][1], hi))
-        else:
-            spans[key] = (lo, hi)
-    return [(c, v[0], v[1]) for c, v in sorted(spans.items())]
+        lo, hi = float(cell.lo), float(cell.hi)
+        if cell.chart in spans:
+            lo, hi = min(spans[cell.chart][0], lo), max(spans[cell.chart][1], hi)
+        spans[cell.chart] = (lo, hi)
+    return [(c, lo, hi) for c, (lo, hi) in sorted(spans.items())]
 
 
 def _match_seam(uf, i, j, left_cell: _Cell, right_cell: _Cell):
@@ -526,71 +475,67 @@ def _match_seam(uf, i, j, left_cell: _Cell, right_cell: _Cell):
         uf.union((i, t), (j, right_map[ids]))
 
 
-def _apply_event(uf, i, j, match: _EventMatch, vid, edge_attach, scene, q):
-    ev = match.ev
-    rich_i, poor_i = (i, j) if match.richer_is_left else (j, i)
-    rich_cell = match.left_cell if match.richer_is_left else match.right_cell
-    poor_cell = match.right_cell if match.richer_is_left else match.left_cell
-    rich_map = {rich_cell.traj_ids(t): t for t in range(len(rich_cell.trajectories))}
-    poor_map = {poor_cell.traj_ids(t): t for t in range(len(poor_cell.trajectories))}
+def _apply_event(uf, cells, i, k, ev, richer_is_left, j, vid, attach, scene, q):
+    """Match trajectories across the event between cells i and k; the pair
+    born there is the richer cell's crossings (K, j) and (K, j + 1)."""
+    rich_i, poor_i = (i, k) if richer_is_left else (k, i)
+    rich, poor = cells[rich_i], cells[poor_i]
+    K = ev.component
 
-    dying = {(ev.component, match.pair[0]), (ev.component, match.pair[1])}
-    survivors = {}
-    t_a = t_b = t_dying = None
-    for ids, t in rich_map.items():
-        en, ex = ids
-        en_dead, ex_dead = en in dying, ex in dying
-        if not en_dead and not ex_dead:
-            survivors[(match.map_id(en), match.map_id(ex))] = t
-        elif en_dead and ex_dead:
-            t_dying = (t, ids)
-        elif ex_dead:
-            t_a = (t, ids)
+    def to_poor(cid):
+        """Crossing id from the richer cell to the poorer one; None for the pair."""
+        comp, idx = cid
+        if comp != K or idx < j:
+            return cid
+        return None if idx <= j + 1 else (comp, idx - 2)
+
+    poor_map = {poor.traj_ids(t): t for t in range(len(poor.trajectories))}
+    matched = set()
+    pinch = a = b = None
+    for t in range(len(rich.trajectories)):
+        en, ex = map(to_poor, rich.traj_ids(t))
+        if en is None and ex is None:
+            pinch = t             # from (K, j) to (K, j + 1)
+        elif ex is None:
+            a = (t, en)           # ends on the pair
+        elif en is None:
+            b = (t, ex)           # starts on the pair
+        elif (en, ex) in poor_map:
+            uf.union((rich_i, t), (poor_i, poor_map[en, ex]))
+            matched.add(poor_map[en, ex])
         else:
-            t_b = (t, ids)
-
-    for ids, t in survivors.items():
-        if ids not in poor_map:
             raise MatchingAmbiguous(f"unmatched trajectory across event at {float(ev.alpha):.6g}")
-        uf.union((rich_i, t), (poor_i, poor_map[ids]))
-    matched_poor = {poor_map[ids] for ids in survivors}
 
+    pattern = (2,) if pinch is not None else (1, 2, 1)
     # tangency point, for reports and figures
     s_lo, s_hi = ev.s_star_interval(Fraction(1, 10**12))
     s_approx = float((s_lo + s_hi) / 2)
     line = geometry.trajectory_line(scene.field, (ev.alpha.lo + ev.alpha.hi) / 2, ev.chart, q)
     px, py = line.point_at(Fraction(s_approx).limit_denominator(10**9))
     event_rec = TangencyEvent(
-        component=ev.component, chart=ev.chart, parameter=float(ev.alpha),
+        component=K, chart=ev.chart, parameter=float(ev.alpha),
         parameter_interval=(str(ev.alpha.lo), str(ev.alpha.hi)),
         defining_poly=ev.alpha.poly, multiplicity=2,
-        point=(float(px), float(py)), pattern=match.pattern)
+        point=(float(px), float(py)), pattern=pattern)
 
-    onleft_rich = match.richer_is_left  # richer-side edges approach from the left
-    if match.pattern == (2,):
-        if t_dying is None or t_a is not None or t_b is not None:
-            raise MatchingAmbiguous("birth/death event without a pinched trajectory")
-        vx = Vertex(vid, (2,), event_rec, ev.component)
-        edge_attach.append((rich_i, t_dying[0], vid, "pinch", onleft_rich))
-        leftover = set(range(len(poor_cell.trajectories))) - matched_poor
-        if leftover:
-            raise MatchingAmbiguous("extra trajectories after a birth/death event")
-        return vx
-    # (121): two trajectories merge into one (or split, read right-to-left)
-    if t_a is None or t_b is None or t_dying is not None:
-        raise MatchingAmbiguous("merge/split event without a lower/upper pair")
-    merged_ids = (match.map_id(t_a[1][0]), match.map_id(t_b[1][1]))
-    if merged_ids not in poor_map:
-        raise MatchingAmbiguous("merged trajectory missing after a merge/split event")
-    t_ab = poor_map[merged_ids]
-    leftover = set(range(len(poor_cell.trajectories))) - matched_poor - {t_ab}
-    if leftover:
-        raise MatchingAmbiguous("extra trajectories after a merge/split event")
-    vx = Vertex(vid, (1, 2, 1), event_rec, ev.component,
-                entry_component=t_a[1][0][0], exit_component=t_b[1][1][0])
-    edge_attach.append((rich_i, t_a[0], vid, "A", onleft_rich))
-    edge_attach.append((rich_i, t_b[0], vid, "B", onleft_rich))
-    edge_attach.append((poor_i, t_ab, vid, "AB", not onleft_rich))
+    # richer-cell edges approach the vertex from the left iff that cell is left
+    if pinch is not None:
+        vx = Vertex(vid, pattern, event_rec, K)
+        attach.append(((rich_i, pinch), vx, "pinch", richer_is_left))
+    else:
+        # (121): two trajectories merge into one (or split, read right-to-left)
+        if a is None or b is None:
+            raise MatchingAmbiguous("merge/split event without a lower/upper pair")
+        t_ab = poor_map.get((a[1], b[1]))
+        if t_ab is None:
+            raise MatchingAmbiguous("merged trajectory missing after a merge/split event")
+        matched.add(t_ab)
+        vx = Vertex(vid, pattern, event_rec, K, entry_component=a[1][0], exit_component=b[1][0])
+        attach += [((rich_i, a[0]), vx, "A", richer_is_left),
+                   ((rich_i, b[0]), vx, "B", richer_is_left),
+                   ((poor_i, t_ab), vx, "AB", not richer_is_left)]
+    if len(matched) != len(poor.trajectories):
+        raise MatchingAmbiguous(f"extra trajectories after the event at {float(ev.alpha):.6g}")
     return vx
 
 
@@ -601,42 +546,3 @@ def _check_degrees(graph: TrajectoryGraph):
         if deg != want:
             raise MatchingAmbiguous(
                 f"vertex {v.id} with pattern {v.pattern} has degree {deg}")
-
-
-# --- public reports ----------------------------------------------------------
-
-def interval_structure(scene, parameter, chart: int = 0):
-    """Ordered crossings and trajectories of one sample line.
-
-    ``parameter`` must avoid all event parameters (a DegenerateScene or
-    MatchingAmbiguous escape signals it did not).
-    """
-    q = Fraction(0)
-    if scene.field.kind == "radial":
-        _, _, _, q = _events_and_charts(scene)
-    spolys, _ = _build_spolys(scene, q)
-    cell = _sample_cell(scene, spolys, chart, q, Fraction(parameter))
-    crossings = [{"component": comp, "index": idx,
-                  "s": float(cell.comp_roots[comp][idx]), "multiplicity": 1}
-                 for comp, idx in cell.order]
-    trajectories = []
-    for en, ex in cell.trajectories:
-        trajectories.append({
-            "entry": cell.order[en], "exit": cell.order[ex],
-            "pattern": [1, 1],
-        })
-    return {"crossings": crossings, "trajectories": trajectories}
-
-
-def check_traversally_generic(scene):
-    """PASS/FAIL report; never raises for degeneracy."""
-    try:
-        events = tangency_events(scene)
-    except DegenerateScene as exc:
-        return {"verdict": "FAIL", "reason": exc.reason, "witness": exc.witness_dict()}
-    # events that survive classification are order-2 tangencies by construction
-    return {
-        "verdict": "PASS",
-        "events": len(events),
-        "multiplicities": [2] if events else [],
-    }

@@ -230,14 +230,12 @@ def validate_scene(scene) -> ValidationReport:
         for j in range(i + 1, len(comps)):
             _check_disjoint(vertical[i], vertical[j], comps[i].name, comps[j].name, report)
 
-    hole_points = []
     for hole, va in zip(scene.holes, vertical[1:]):  # components = [outer] + holes
         w = _hole_witness(hole, va, scene)
         if w is None:
             report.add(f"hole_inside[{hole.name}]", False,
                        "HOLE_OUTSIDE: no interior witness for the hole")
             continue
-        hole_points.append(w)
         x, y = w
         ok = scene.outer.side_value(x, y) < 0
         for other in scene.holes:

@@ -5,7 +5,7 @@ import pytest
 from trajspace import sweep
 from trajspace.events import DegenerateScene
 from trajspace.polys import zp_from_fractions, zp_mul, zp_pow
-from trajspace.realroots import real_roots_with_multiplicities
+from trajspace.realroots import AlgebraicNumber, real_roots_with_multiplicities
 
 from conftest import load_fixture
 
@@ -92,28 +92,36 @@ def test_classification_branches(coeffs, verdict):
             component_events(SPoly(coeffs), 0, 0, Fraction(-10), Fraction(10))
 
 
+def sample_line(scene, c):
+    """The sweep's cell sample at parameter c of a constant-field scene:
+    crossings in ``order``, trajectories as (entry, exit) positions."""
+    spolys, _ = sweep._build_spolys(scene, Fraction(0))
+    c = Fraction(c)
+    return sweep._sample_cell(scene, spolys, 0, Fraction(0), c, c)
+
+
+def sides_of_events(fig1):
+    """Sample lines just left and right of each of fig1's events."""
+    for v in fig1.graph.vertices:
+        lo, hi = map(Fraction, v.event.parameter_interval)
+        width = (hi - lo) if hi > lo else Fraction(1, 64)
+        yield sample_line(fig1.scene, lo - width / 2), sample_line(fig1.scene, hi + width / 2)
+
+
 def test_interval_structure_disk():
-    out = sweep.interval_structure(load_fixture("disk.json"), Fraction(0))
-    assert len(out["crossings"]) == 2
-    assert len(out["trajectories"]) == 1
-    assert out["trajectories"][0]["pattern"] == [1, 1]
+    cell = sample_line(load_fixture("disk.json"), 0)
+    assert len(cell.order) == 2
+    assert cell.trajectories == [(0, 1)]      # one (11) trajectory across the disk
 
 
 def test_interval_structure_through_hole():
-    out = sweep.interval_structure(load_fixture("disk1.json"), Fraction(1, 2))
-    assert len(out["trajectories"]) == 2
+    cell = sample_line(load_fixture("disk1.json"), Fraction(1, 2))
+    assert len(cell.trajectories) == 2
 
 
 def test_trajectory_count_changes_by_one_across_events(fig1):
-    scene = fig1.scene
-    for v in fig1.graph.vertices:
-        ev = v.event
-        lo = Fraction(ev.parameter_interval[0])
-        hi = Fraction(ev.parameter_interval[1])
-        width = (hi - lo) if hi > lo else Fraction(1, 64)
-        left = sweep.interval_structure(scene, lo - width / 2, chart=ev.chart)
-        right = sweep.interval_structure(scene, hi + width / 2, chart=ev.chart)
-        assert abs(len(left["trajectories"]) - len(right["trajectories"])) == 1
+    for left, right in sides_of_events(fig1):
+        assert abs(len(left.trajectories) - len(right.trajectories)) == 1
 
 
 def test_determinism_across_runs():
@@ -125,11 +133,72 @@ def test_determinism_across_runs():
 
 
 def test_check_traversally_generic_reports():
-    assert sweep.check_traversally_generic(load_fixture("annulus3.json"))["verdict"] == "PASS"
-    assert sweep.check_traversally_generic(load_fixture("disk.json"))["verdict"] == "PASS"
-    out = sweep.check_traversally_generic(load_fixture("degenerate/double_tangent.json"))
-    assert out["verdict"] == "FAIL"
-    assert out["witness"] is not None
+    assert sweep.tangency_events(load_fixture("annulus3.json"))
+    assert sweep.tangency_events(load_fixture("disk.json"))
+    with pytest.raises(DegenerateScene) as exc:
+        sweep.tangency_events(load_fixture("degenerate/double_tangent.json"))
+    assert exc.value.witness_dict() is not None
+
+
+@pytest.fixture
+def point_tests(monkeypatch):
+    """Arguments of every Scene.contains call, and every cell the sweep samples."""
+    from trajspace.geometry import Scene
+    calls, cells = [], []
+    contains, sample_cell = Scene.contains, sweep._sample_cell
+
+    def counting(self, x, y, strict=True):
+        calls.append((x, y))
+        return contains(self, x, y, strict)
+
+    def recording(*args):
+        cells.append(sample_cell(*args))
+        return cells[-1]
+
+    monkeypatch.setattr(Scene, "contains", counting)
+    monkeypatch.setattr(sweep, "_sample_cell", recording)
+    return calls, cells
+
+
+def test_sweep_point_tests_each_gap_once(any_generic, point_tests):
+    # the pattern at each event is read off a cell's gaps, so no point test
+    # runs beyond one per gap of each sampled cell
+    calls, cells = point_tests
+    sweep.build_trajectory_space(any_generic.scene)
+    assert len(calls) == sum(len(cell.order) + 1 for cell in cells)
+
+
+def test_fig1_sweep_point_test_count(point_tests):
+    calls, cells = point_tests
+    graph = sweep.build_trajectory_space(load_fixture("fig1.json"))
+    assert (graph.vertex_count, len(cells), len(calls)) == (12, 13, 45)
+
+
+@pytest.mark.parametrize("left, right", [
+    (Fraction(1), Fraction(1)),
+    # x^2 - 1 on (0, 2): refinement finds the root 1 exactly and stalls there
+    (AlgebraicNumber((-1, 0, 1), Fraction(0), Fraction(2)), Fraction(1)),
+], ids=["equal-fractions", "rational-root"])
+def test_cell_bounds_rejects_empty_cells(left, right):
+    with pytest.raises(sweep.MatchingAmbiguous):
+        sweep._cell_bounds(left, right)
+
+
+@pytest.mark.parametrize("root_on_left, bounds", [
+    # bisection of sqrt(2) on (1, 2): 3/2 (hi), 5/4 (lo), 11/8 (lo), 23/16 (hi)
+    (True, (Fraction(23, 16), Fraction(3, 2))),
+    # 3/2 (hi), 5/4 (lo), 11/8 (lo): a lower end equal to the bound is not enough
+    (False, (Fraction(5, 4), Fraction(11, 8))),
+])
+def test_cell_bounds_refines_an_event_off_a_rational_bound(root_on_left, bounds):
+    root2 = AlgebraicNumber((-2, 0, 1), Fraction(1), Fraction(2))
+    if root_on_left:
+        assert sweep._cell_bounds(root2, Fraction(3, 2)) == bounds
+        assert root2.hi == bounds[0]
+    else:
+        assert sweep._cell_bounds(Fraction(5, 4), root2) == bounds
+        assert root2.lo == bounds[1]
+    assert root2.lo ** 2 < 2 < root2.hi ** 2
 
 
 def test_vertexless_radial_loop():
@@ -278,20 +347,13 @@ def test_rotated_claw_is_sweepable_disk():
 
 
 def test_crossing_count_changes_by_two_across_events(fig1):
-    scene = fig1.scene
-    for v in fig1.graph.vertices:
-        ev = v.event
-        lo, hi = Fraction(ev.parameter_interval[0]), Fraction(ev.parameter_interval[1])
-        width = (hi - lo) if hi > lo else Fraction(1, 64)
-        left = sweep.interval_structure(scene, lo - width / 2, chart=ev.chart)
-        right = sweep.interval_structure(scene, hi + width / 2, chart=ev.chart)
-        assert abs(len(left["crossings"]) - len(right["crossings"])) == 2
+    for left, right in sides_of_events(fig1):
+        assert abs(len(left.order) - len(right.order)) == 2
 
 
 def test_circle_events_match_closed_form():
     # for a vertical field, a circle (cx, cy, r) is tangent to the lines
     # x = cx +- r and nothing else: an independent closed-form oracle
-    from trajspace.realroots import AlgebraicNumber
     from conftest import analyzed
     for fixture in ("disk.json", "disk1.json", "disk2.json", "disk3.json", "disk4.json"):
         a = analyzed(fixture)
