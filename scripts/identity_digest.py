@@ -11,7 +11,12 @@ sweep rotates its charts (seam rotation 1/7), so its SVG draws trajectory
 lines through the rotated float view.  The holes8 line covers the stress
 scene with eight small holes under the field (3, 7), whose sweep meets 16
 merge/split (121) and 2 birth/death (2) events; `holes_doc` builds it in
-memory from its formula.  The last three lines cover the
+memory from its formula.  The rejected line covers the reports of seven
+scenes built in memory that fail validation (`REJECTED_SCENES`: a curve
+that meets the frame, a curve wholly outside the box, a hole outside the
+outer curve, nested holes, overlapping holes, the nodal quartic and a
+radial centre in X), so it pins the bbox, hole, field and singularity
+checks' failure reports.  The last three lines cover the
 oracle's observed pattern sets for all 30 patterns of norm <= 8 (200
 samples, seed 0), which depend on root counting but on no scene.  At
 magnitude 1/1000 every sample passes the window certificate of
@@ -49,6 +54,39 @@ SEAM_SCENE = {
         {"curve": {"type": "circle", "center": [[2, 5], [5, 2]], "radius": [2, 5]},
          "inside_sign": -1}],
     "bbox": [[-5, 1], [5, 1], [-5, 1], [5, 1]]}
+
+
+def _circle(cx, cy, r, sign):
+    return {"curve": {"type": "circle", "center": [cx, cy], "radius": r},
+            "inside_sign": sign}
+
+
+def _scene(outer, holes, bound, field=((3, 1), (7, 1))):
+    lo, hi = [-bound, 1], [bound, 1]
+    return {"field": {"kind": "constant", "direction": [list(v) for v in field]},
+            "outer": outer, "holes": holes, "bbox": [lo, hi, lo, hi]}
+
+
+_ORIGIN = ([0, 1], [0, 1])
+REJECTED_SCENES = {
+    "frame": _scene(_circle(*_ORIGIN, [5, 2], 1), [], 2),
+    "outside": _scene(_circle([10, 1], [1, 2], [1, 1], 1), [], 4),
+    "hole_outside": _scene(_circle(*_ORIGIN, [2, 1], 1),
+                           [_circle([8, 1], [0, 1], [1, 2], -1)], 10),
+    "nested_holes": _scene(_circle(*_ORIGIN, [6, 1], 1),
+                           [_circle(*_ORIGIN, [3, 1], -1),
+                            _circle([1, 2], [-1, 3], [1, 1], -1)], 8),
+    "overlapping_holes": _scene(_circle(*_ORIGIN, [5, 1], 1),
+                                [_circle(*_ORIGIN, [1, 1], -1),
+                                 _circle([1, 1], [0, 1], [1, 1], -1)], 6, ((0, 1), (1, 1))),
+    # (x^2 + y^2)^2 - x^2 + y^2: singular at the origin
+    "nodal_quartic": _scene({"curve": {"type": "polynomial", "coeffs": [
+        [4, 0, 1, 1], [2, 2, 2, 1], [0, 4, 1, 1], [2, 0, -1, 1], [0, 2, 1, 1]]},
+        "inside_sign": 1}, [], 2),
+    "radial_centre_in_x": {**_scene(_circle(*_ORIGIN, [4, 1], 1),
+                                    [_circle(*_ORIGIN, [1, 1], -1)], 5),
+                           "field": {"kind": "radial", "center": [[2, 1], [0, 1]]}},
+}
 
 
 def holes_doc(n):
@@ -106,6 +144,13 @@ def main():
         holes = pathlib.Path(tmp) / "holes8.json"
         holes.write_text(json.dumps(holes_doc(8)))
         print(f"{scene_digest(holes, pathlib.Path(tmp))}  holes8: 8 holes under (3,7)", flush=True)
+        h = hashlib.sha256()
+        for name, doc in REJECTED_SCENES.items():
+            path = pathlib.Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            h.update(f"{name} {scene_digest(path, pathlib.Path(tmp))}\n".encode())
+        print(f"{h.hexdigest()}  rejected: {len(REJECTED_SCENES)} scenes that fail validation",
+              flush=True)
     digest, count = oracle_digest(Fraction(1, 1000))
     print(f"{digest}  oracle: {count} patterns of norm <= 8", flush=True)
     digest, count = oracle_digest(Fraction(1, 2))

@@ -1,93 +1,44 @@
-"""Bivariate polynomials over QQ and elimination along a line family.
+"""Bivariate integer polynomials and elimination along a line family.
 
-A curve is a dict {(i, j): Fraction} for x^i y^j.  Fractions appear only
-there: in the scene's curves, in the ``bp_*`` arithmetic on them, and in
-``bp_restrict_line``, which restricts a curve to one rational line.
-Substituting a polynomial line parametrization (x(c, s), y(c, s)) clears
-them once and turns the curve into an "SPoly": a list of integer
-polynomials in the sweep parameter c, indexed by the power of the line
-coordinate s.  ``SPoly.at_param`` specialises it at a rational c to a
-primitive integer polynomial in s without building a Fraction.
-Subresultants w.r.t. s, the resultant among them, are determinants of
-Sylvester submatrices whose entries are ZPs in c, taken with Bareiss
-fraction-free elimination.  The signed subresultant sequence of G
-and dG/ds decides everything about G(alpha, s) at a real algebraic alpha
-(gcd degree, tangent point, real roots in an interval) through signs of
-integer polynomials at alpha.
+An "SPoly" is a polynomial in the line coordinate s over ZZ[c]: a list of
+integer polynomials in the sweep parameter c, indexed by the power of s.
+Every boundary curve is stored as one, from parse on: L * F with L the
+least common denominator of F's coefficients, read along the vertical
+lines x = c (c = x, s = y).  ``substitute_line_family`` composes it with
+another family by Horner's rule in ZZ[c][s]; ``SPoly.at_param`` and
+``SPoly.at_s`` specialise it at a rational c or s without building a
+Fraction.  Subresultants w.r.t. s, the resultant among them, are
+determinants of Sylvester submatrices whose entries are ZPs in c, taken
+with Bareiss fraction-free elimination.  The signed subresultant sequence
+of G and dG/ds decides everything about G(alpha, s) at a real algebraic
+alpha (gcd degree, tangent point, real roots in an interval) through signs
+of integer polynomials at alpha.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import zip_longest
 
 from .polys import (
     ZP,
     zp,
     zp_add,
+    zp_content,
+    zp_derivative,
     zp_divexact,
     zp_eval_hom,
     zp_mul,
     zp_neg,
-    zp_pow,
     zp_primitive,
     zp_scale,
     zp_sub,
 )
 from .realroots import sign_variations
 
-BiPoly = dict  # {(i, j): Fraction}
-
-
-def bp_normalize(d) -> BiPoly:
-    return {k: Fraction(v) for k, v in d.items() if Fraction(v) != 0}
-
-
-def bp_add(a: BiPoly, b: BiPoly) -> BiPoly:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
-    return bp_normalize(out)
-
-
-def bp_mul(a: BiPoly, b: BiPoly) -> BiPoly:
-    out = {}
-    for (i, j), u in a.items():
-        for (k, l), v in b.items():
-            key = (i + k, j + l)
-            out[key] = out.get(key, Fraction(0)) + u * v
-    return bp_normalize(out)
-
-
-def bp_scale(a: BiPoly, f) -> BiPoly:
-    return bp_normalize({k: v * Fraction(f) for k, v in a.items()})
-
-
-def bp_eval(a: BiPoly, x: Fraction, y: Fraction) -> Fraction:
-    return sum((v * x**i * y**j for (i, j), v in a.items()), Fraction(0))
-
-
-def bp_dx(a: BiPoly) -> BiPoly:
-    return bp_normalize({(i - 1, j): v * i for (i, j), v in a.items() if i > 0})
-
-
-def bp_restrict_line(a: BiPoly, px, py):
-    """Restrict to a rational line {t -> (px0 + px1 t, py0 + py1 t)}.
-
-    Returns Fraction coefficients (low first) of the univariate restriction.
-    """
-    px = (Fraction(px[0]), Fraction(px[1]))
-    py = (Fraction(py[0]), Fraction(py[1]))
-    out = {}
-    for (i, j), v in a.items():
-        for k, c in enumerate(zp_mul(zp_pow(px, i), zp_pow(py, j))):
-            out[k] = out.get(k, Fraction(0)) + v * c
-    n = max(out) + 1 if out else 0
-    return [out.get(k, Fraction(0)) for k in range(n)]
-
 
 class SPoly:
-    """F restricted to a line family: polynomial in s over ZZ[c].
+    """A polynomial in s over ZZ[c]: a curve along a line family.
 
     coeffs[k] is the ZP in c multiplying s^k.
     """
@@ -103,22 +54,27 @@ class SPoly:
     def degree_s(self) -> int:
         return len(self.coeffs) - 1
 
+    def degree_c(self) -> int:
+        return max(map(len, self.coeffs), default=0) - 1
+
     def ds(self) -> "SPoly":
         return SPoly([zp_scale(c, k) for k, c in enumerate(self.coeffs)][1:])
 
-    def at_param(self, c: Fraction) -> ZP:
-        """Self at a rational parameter value: a primitive ZP in s.
+    def dc(self) -> "SPoly":
+        return SPoly([zp_derivative(c) for c in self.coeffs])
 
-        Column k evaluates to den(c)**deg(k) * coeffs[k](c) by
-        ``zp_eval_hom``; scaling it by den(c)**(top - deg(k)), where top is
-        the largest column degree, puts every column over den(c)**top.  The
-        result is a positive multiple of the rational coefficient vector, so
-        its primitive part is that of the vector cleared of denominators.
-        """
-        num, den = c.numerator, c.denominator
-        top = max((len(co) for co in self.coeffs), default=1) - 1
-        return zp_primitive(zp(zp_eval_hom(co, num, den) * den ** (top - len(co) + 1)
-                               for co in self.coeffs))
+    def column_values(self, num: int, den: int) -> list:
+        """den**top * coeffs[k](num/den) for every k (zeros kept), den > 0 and
+        top the largest column degree: a positive multiple of self at
+        c = num/den.  ``zp_eval_hom`` puts column k over den**deg(k), and
+        den**(top - deg(k)) brings it to den**top."""
+        top = self.degree_c()
+        return [zp_eval_hom(co, num, den) * den ** (top - len(co) + 1) for co in self.coeffs]
+
+    def at_param(self, c: Fraction) -> ZP:
+        """Self at a rational parameter value: a primitive ZP in s, that of
+        the rational coefficient vector cleared of denominators."""
+        return zp_primitive(zp(self.column_values(c.numerator, c.denominator)))
 
     def coeff(self, k: int) -> ZP:
         return self.coeffs[k] if k < len(self.coeffs) else ()
@@ -140,35 +96,46 @@ class SPoly:
         return self if d == self.degree_s() else SPoly(self.coeffs[:d + 1])
 
 
-def substitute_line_family(F: BiPoly, x_cs: BiPoly, y_cs: BiPoly) -> SPoly:
-    """Compose F with polynomial maps x(c, s), y(c, s); integerized.
+def _add(A, B):
+    """Sum of two polynomials in s over ZZ[c], as lists of columns."""
+    return [zp_add(a, b) for a, b in zip_longest(A, B, fillvalue=())]
 
-    x_cs, y_cs are BiPolys in (c, s).  The overall rational content is
-    dropped (positive rescaling), which preserves zero sets and signs up to
-    a positive constant.
+
+def _mul(A, B):
+    """Product of two polynomials in s over ZZ[c], as lists of columns."""
+    out = [()] * (len(A) + len(B) - 1)
+    for i, a in enumerate(A):
+        if a:
+            for j, b in enumerate(B):
+                out[i + j] = zp_add(out[i + j], zp_mul(a, b))
+    return out
+
+
+def _horner(ps, var, m: int):
+    """sum of ps[k] * var^k * m^(n - k), n = len(ps) - 1, by homogeneous
+    Horner (as ``polys.zp_eval_hom``); ps and var are lists of columns."""
+    acc, mpow = ps[-1], 1
+    for p in reversed(ps[:-1]):
+        mpow *= m
+        acc = _add(_mul(acc, var), [zp_scale(co, mpow) for co in p])
+    return acc
+
+
+def substitute_line_family(F: SPoly, X: SPoly, Y: SPoly, m: int) -> SPoly:
+    """F(X/m, Y/m) cleared of m and made primitive.
+
+    F is a curve's stored form (column j is the ZP in x of y^j), and X/m,
+    Y/m with m > 0 a line family (``geometry.line_family``).  Horner's rule
+    in x within each column, then in y, each homogeneous in m, gives
+    m^(degree_c(F) + degree_s(F)) * F(X/m, Y/m) over ZZ[c][s].  Dividing out
+    its positive content keeps zero sets and signs.
     """
-    acc: BiPoly = {}
-    xpows = {0: {(0, 0): Fraction(1)}}
-    ypows = {0: {(0, 0): Fraction(1)}}
-
-    def powof(table, base, n):
-        if n not in table:
-            table[n] = bp_mul(powof(table, base, n - 1), base)
-        return table[n]
-
-    for (i, j), v in F.items():
-        term = bp_scale(bp_mul(powof(xpows, x_cs, i), powof(ypows, y_cs, j)), v)
-        acc = bp_add(acc, term)
-    deg_s = max((j for (_, j) in acc), default=0)
-    deg_c = max((i for (i, _) in acc), default=0)
-    # clear denominators globally (positive factor)
-    den = 1
-    for v in acc.values():
-        den = den * v.denominator // gcd(den, v.denominator)
-    cols = []
-    for k in range(deg_s + 1):
-        cols.append(zp([int(acc.get((i, k), Fraction(0)) * den) for i in range(deg_c + 1)]))
-    return SPoly(cols)
+    top = F.degree_c()
+    cols = [_horner([[(a,) if a else ()] for a in co + (0,) * (top + 1 - len(co))],
+                    X.coeffs, m) for co in F.coeffs]
+    acc = _horner(cols, Y.coeffs, m)
+    g = zp_content(tuple(v for co in acc for v in co))
+    return SPoly([tuple(v // g for v in co) for co in acc])
 
 
 def subresultant(P: SPoly, Q: SPoly, j: int) -> SPoly:

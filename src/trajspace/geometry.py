@@ -3,7 +3,8 @@
 X = {outer <= 0} cap (intersection of {hole_i >= 0}) cap bbox, with every
 boundary component a smooth rational implicit curve, and a field whose
 trajectories are straight lines (constant direction, or radial from a
-center outside X).  All predicates are exact over QQ.
+center outside X).  Each curve F is read once into integers, L * F with L
+the least common denominator of its coefficients; every predicate is exact.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .bivar import BiPoly, bp_eval, bp_normalize
+from .bivar import SPoly
+from .polys import zp, zp_eval_hom
 
 
 class SceneError(Exception):
@@ -21,14 +24,18 @@ class SceneError(Exception):
 
 @dataclass
 class BoundaryComponent:
-    implicit: BiPoly            # F(x, y), Fraction coefficients
+    curve: SPoly                # L * F(x, y): the s^j entry is the ZP in x of y^j
+    lcd: int                    # L, the least common denominator of F's coefficients
     inside_sign: int            # X locally satisfies inside_sign * F <= 0
     role: str                   # "outer" | "hole"
     name: str = ""
 
-    def side_value(self, x: Fraction, y: Fraction) -> Fraction:
-        """Negative inside X's side of this component."""
-        return self.inside_sign * bp_eval(self.implicit, x, y)
+    def side_sign(self, x: Fraction, y: Fraction) -> int:
+        """Sign of inside_sign * F(x, y), negative on X's side: one integer
+        homogeneous evaluation, in x column by column, then in y."""
+        v = zp_eval_hom(self.curve.column_values(x.numerator, x.denominator),
+                        y.numerator, y.denominator)
+        return self.inside_sign * ((v > 0) - (v < 0))
 
 
 @dataclass
@@ -60,7 +67,7 @@ class Scene:
         if not (x0 < x < x1 and y0 < y < y1):
             return False
         for comp in self.components:
-            v = comp.side_value(x, y)
+            v = comp.side_sign(x, y)
             if (v >= 0) if strict else (v > 0):
                 return False
         return True
@@ -84,48 +91,58 @@ def _fr(v) -> Fraction:
     return Fraction(_int(v))
 
 
-def circle_poly(cx, cy, r) -> BiPoly:
-    """(x - cx)^2 + (y - cy)^2 - r^2 as a BiPoly."""
-    cx, cy, r = Fraction(cx), Fraction(cy), Fraction(r)
-    return bp_normalize({
-        (2, 0): 1, (0, 2): 1,
-        (1, 0): -2 * cx, (0, 1): -2 * cy,
-        (0, 0): cx * cx + cy * cy - r * r,
-    })
+def circle_poly(cx: Fraction, cy: Fraction, r: Fraction) -> dict:
+    """(x - cx)^2 + (y - cy)^2 - r^2 as terms {(i, j): coefficient of x^i y^j}."""
+    return {(2, 0): 1, (0, 2): 1, (1, 0): -2 * cx, (0, 1): -2 * cy,
+            (0, 0): cx * cx + cy * cy - r * r}
 
 
-def _parse_curve(d) -> BiPoly:
+def curve_from_terms(terms: dict):
+    """(L * F, L), the stored form of F = sum of terms {(i, j): rational
+    coefficient of x^i y^j}, with L the lcd of F's coefficients."""
+    terms = {k: Fraction(v) for k, v in terms.items() if v}
+    if not terms:
+        raise SceneError("curve polynomial is identically zero")
+    L = lcm(*(v.denominator for v in terms.values()))
+    rows = [[0] * (1 + max(i for i, _ in terms)) for _ in range(1 + max(j for _, j in terms))]
+    for (i, j), v in terms.items():
+        rows[j][i] = v.numerator * (L // v.denominator)
+    return SPoly([zp(row) for row in rows]), L
+
+
+def _parse_curve(d):
     kind = d.get("type")
     if kind == "circle":
         cx, cy = (_fr(v) for v in d["center"])
-        return circle_poly(cx, cy, _fr(d["radius"]))
+        return curve_from_terms(circle_poly(cx, cy, _fr(d["radius"])))
     if kind == "polynomial":
-        out = {}
+        terms = {}
         for entry in d["coeffs"]:
             i, j, num, den = entry
             key = (_int(i), _int(j))
             if min(key) < 0:
                 raise SceneError(f"negative exponent in {entry!r}")
-            out[key] = out.get(key, Fraction(0)) + _fr([num, den])
-        out = bp_normalize(out)
-        if not out:
-            raise SceneError("curve polynomial is identically zero")
-        return out
+            terms[key] = terms.get(key, 0) + _fr([num, den])
+        return curve_from_terms(terms)
     raise SceneError(f"unknown curve type {kind!r}")
 
 
 def _parse_component(d, role: str, name: str) -> BoundaryComponent:
+    if not isinstance(d, dict) or not isinstance(d.get("curve"), dict):
+        raise SceneError(f"{role} and its curve must be JSON objects: {d!r}")
     sign = _int(d.get("inside_sign", 1 if role == "outer" else -1))
     if sign not in (-1, 1):
         raise SceneError("inside_sign must be +1 or -1")
-    return BoundaryComponent(_parse_curve(d["curve"]), sign, role, name)
+    return BoundaryComponent(*_parse_curve(d["curve"]), sign, role, name)
 
 
 def parse_scene(doc: dict, name: str = "") -> Scene:
     try:
         outer = _parse_component(doc["outer"], "outer", "outer")
-        holes = [_parse_component(h, "hole", f"hole{i}")
-                 for i, h in enumerate(doc.get("holes", []))]
+        holes = doc.get("holes", [])
+        if not isinstance(holes, list):
+            raise SceneError(f"holes must be a JSON list, got {holes!r}")
+        holes = [_parse_component(h, "hole", f"hole{i}") for i, h in enumerate(holes)]
         f = doc["field"]
         if f["kind"] == "constant":
             dx, dy = (_fr(v) for v in f["direction"])
@@ -149,7 +166,9 @@ def load_scene(path: str) -> Scene:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError as exc:
+            raise SceneError(f"scene file is not UTF-8: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # also too deep, or too long a number
             raise SceneError(f"invalid JSON: {exc}") from exc
     return parse_scene(doc, name=str(path))
 
@@ -189,21 +208,22 @@ def trajectory_line(fld: Field, c, chart: int = 0, q=0) -> Line:
 
 
 def line_family(fld: Field, chart: int = 0, q: Fraction = Fraction(0)):
-    """(x(c, s), y(c, s)) BiPolys in (c, s) for the sweep family, the point
-    at s of trajectory_line(fld, c, chart, q).
+    """Integer (X, Y, m) for the sweep family: SPolys X, Y in (c, s) and a
+    positive integer m with the point at s of trajectory_line(fld, c,
+    chart, q) at (X/m, Y/m).
 
     Base and direction are at most quadratic in c, so their values at
     c = 0, 1, -1 give their coefficients.
     """
     at = [trajectory_line(fld, Fraction(c), chart, Fraction(q)) for c in (0, 1, -1)]
-    family = []
-    for k in (0, 1):  # x, then y
-        bp = {}
-        for j, vals in enumerate(([ln.base[k] for ln in at], [ln.direction[k] for ln in at])):
-            f0, f1, fm = vals  # the values at c = 0, 1, -1
-            bp.update({(0, j): f0, (1, j): (f1 - fm) / 2, (2, j): (f1 + fm) / 2 - f0})
-        family.append(bp_normalize(bp))
-    return tuple(family)
+    # x, then y: the s^0 (base) and s^1 (direction) columns from c = 0, 1, -1
+    coords = [[(f0, (f1 - fm) / 2, (f1 + fm) / 2 - f0)
+               for f0, f1, fm in ([ln.base[k] for ln in at], [ln.direction[k] for ln in at])]
+              for k in (0, 1)]
+    m = lcm(*(v.denominator for cols in coords for col in cols for v in col))
+    X, Y = (SPoly([zp(v.numerator * (m // v.denominator) for v in col) for col in cols])
+            for cols in coords)
+    return X, Y, m
 
 
 def sweep_param_range(scene: Scene):

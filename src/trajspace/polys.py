@@ -2,10 +2,10 @@
 
 Polynomials are tuples of ints, coefficients stored low degree first,
 normalized so the last entry is nonzero; the zero polynomial is the empty
-tuple.  Fractions appear only at the boundaries: ``zp_from_fractions``
-clears denominators on the way in (for the rational restrictions of
-``bivar.bp_restrict_line``), and ``zp_eval_fr`` builds one Fraction on the
-way out (for the rational case of ``AlgebraicNumber.ratio_interval``).
+tuple.  Every caller hands in integers: scene curves are cleared of
+denominators once, at parse time (``geometry.curve_from_terms``).  A
+Fraction appears only on the way out, where ``zp_eval_fr`` builds one for
+the rational case of ``AlgebraicNumber.ratio_interval``.
 
 Evaluation at a rational n/d is homogeneous and stays in ZZ:
 ``zp_eval_hom`` returns d**deg * p(n/d) by Horner's rule, carrying the
@@ -39,20 +39,6 @@ def zp(coeffs) -> ZP:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def zp_from_fractions(coeffs) -> ZP:
-    """Clear denominators of a Fraction coefficient list; primitive part."""
-    fr = [Fraction(x) for x in coeffs]
-    while fr and fr[-1] == 0:
-        fr.pop()
-    if not fr:
-        return ()
-    den = 1
-    for f in fr:
-        den = den * f.denominator // int_gcd(den, f.denominator)
-    ints = [int(f * den) for f in fr]
-    return zp_primitive(tuple(ints))
 
 
 def zp_degree(p: ZP) -> int:

@@ -310,8 +310,7 @@ class AlgebraicNumber:
 def real_roots_with_multiplicities(p: ZP):
     """All real roots of an integer polynomial, with multiplicities.
 
-    ``p`` is a ZP; callers holding rational coefficients clear them first
-    (``polys.zp_from_fractions``).  Returns a list of (AlgebraicNumber,
+    ``p`` is a ZP.  Returns a list of (AlgebraicNumber,
     multiplicity) sorted by the root value; isolating intervals are pairwise
     disjoint.  Raises ValueError on the zero polynomial.
     """

@@ -2,7 +2,8 @@
 
 Boundary curves are drawn by marching squares over exact grid values: each
 value is the correctly rounded float of the rational F(x, y) at a rational
-sample point, the same as evaluating F in Fraction arithmetic gives.
+sample point, computed from the component's stored integer form L * F by
+the column evaluation that ``BoundaryComponent.side_sign`` uses.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ def _grid(start, step, n):
     return [Fraction(start + k * step).limit_denominator(10**6) for k in range(n + 1)]
 
 
-def _grid_values(F, xs, ys):
-    """vals[i][j] == float(F(xs[i], ys[j])) exactly, for rational xs and ys.
+def _grid_values(G, L, xs, ys):
+    """vals[i][j] == float(F(xs[i], ys[j])) exactly, for rational xs and ys,
+    where G = L * F is a curve's stored form (``geometry.curve_from_terms``).
 
-    With common denominators qx of the xs, qy of the ys and L of F's
-    coefficients, N = L * qx^degx * qy^degy * F(x, y) is an integer: each
-    column collapses F into integer coefficients of a polynomial in y, and
+    With common denominators qx of the xs and qy of the ys,
+    N = L * qx^degx * qy^degy * F(x, y) is an integer: ``column_values``
+    collapses G at x into integer coefficients of a polynomial in y, and
     ``polys.zp_eval_hom`` (homogeneous Horner) evaluates it at every y of
     the column.  N / D with D = L * qx^degx * qy^degy is one int / int true
     division, which Python rounds correctly, as Fraction.__float__ does; so
@@ -36,31 +38,23 @@ def _grid_values(F, xs, ys):
     """
     qx = lcm(*(x.denominator for x in xs))
     qy = lcm(*(y.denominator for y in ys))
-    L = lcm(*(v.denominator for v in F.values()))
-    degx = max((i for i, _ in F), default=0)
-    degy = max((j for _, j in F), default=0)
-    C = [[0] * (degx + 1) for _ in range(degy + 1)]  # C[j][i]: x^i y^j, times L
-    for (i, j), v in F.items():
-        C[j][i] = v.numerator * (L // v.denominator)
-    D = L * qx**degx * qy**degy
+    D = L * qx ** G.degree_c() * qy ** G.degree_s()
     Ys = [y.numerator * (qy // y.denominator) for y in ys]
     vals = []
     for x in xs:
-        X = x.numerator * (qx // x.denominator)
-        # L * qx^degx * (coefficient of y^j in F(x, y)), j = 0..degy
-        col = [zp_eval_hom(row, X, qx) for row in C]
+        col = G.column_values(x.numerator * (qx // x.denominator), qx)
         vals.append([zp_eval_hom(col, Y, qy) / D for Y in Ys])
     return vals
 
 
-def _marching_segments(F, bbox, n=160):
-    """Zero-set line segments of F on an n x n grid (floats; drawing only).
+def _marching_segments(G, L, bbox, n=160):
+    """Zero-set line segments of F = G / L on an n x n grid (floats; drawing only).
 
     The grid values are exact: see _grid_values.
     """
     x0, x1, y0, y1 = (float(v) for v in bbox)
     dx, dy = (x1 - x0) / n, (y1 - y0) / n
-    vals = _grid_values(F, _grid(x0, dx, n), _grid(y0, dy, n))
+    vals = _grid_values(G, L, _grid(x0, dx, n), _grid(y0, dy, n))
     segs = []
 
     def interp(xa, ya, va, xb, yb, vb):
@@ -159,7 +153,7 @@ def scene_svg(scene, graph=None) -> str:
                 poly = [p for p, _ in band] + [p for _, p in reversed(band)]
                 canvas.polygon(poly, color)
     for comp in scene.components:
-        for a, b in _marching_segments(comp.implicit, scene.bbox):
+        for a, b in _marching_segments(comp.curve, comp.lcd, scene.bbox):
             canvas.line(a, b, "#222222", width=1.4)
     if graph is not None:
         for v in graph.vertices:

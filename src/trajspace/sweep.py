@@ -64,7 +64,6 @@ class Vertex:
     tangent_component: int
     entry_component: int = None   # (121) only
     exit_component: int = None    # (121) only
-    edge_roles: list = field(default_factory=list)  # (edge_id, role, edge_on_left)
 
 
 @dataclass
@@ -318,9 +317,8 @@ def _build_spolys(scene, q):
     charts = [0, 1] if scene.field.kind == "radial" else [0]
     spolys = {}
     for chart in charts:
-        x_cs, y_cs = geometry.line_family(scene.field, chart, q)
-        spolys[chart] = [substitute_line_family(comp.implicit, x_cs, y_cs)
-                         for comp in scene.components]
+        family = geometry.line_family(scene.field, chart, q)
+        spolys[chart] = [substitute_line_family(comp.curve, *family) for comp in scene.components]
     return spolys, charts
 
 
@@ -431,8 +429,6 @@ def build_trajectory_space(scene) -> TrajectoryGraph:
         edges.append(Edge(eid, (1, 1), en_id[0], ex_id[0], _edge_intervals(cells, ms),
                           [(vx.id, role, onleft) for vx, role, onleft in ends],
                           is_loop=not ends, samples=samples))
-        for vx, role, onleft in ends:
-            vx.edge_roles.append((eid, role, onleft))
 
     graph = TrajectoryGraph(vertices, edges, scene, seam_rotation=q)
     _check_degrees(graph)
@@ -541,7 +537,7 @@ def _apply_event(uf, cells, i, k, ev, richer_is_left, j, vid, attach, scene, q):
 
 def _check_degrees(graph: TrajectoryGraph):
     for v in graph.vertices:
-        deg = len(v.edge_roles)
+        deg = graph.degree(v.id)
         want = 1 if v.pattern == (2,) else 3
         if deg != want:
             raise MatchingAmbiguous(

@@ -1,6 +1,6 @@
 """Exact scene validation.
 
-Checks, all over QQ with algebraic certificates:
+Checks, all exact, with algebraic certificates:
   CURVE_SINGULAR        a component curve has a real singular point
   COMPONENTS_INTERSECT  two boundary curves share a real point
   HOLE_OUTSIDE          a hole is not strictly inside the outer region
@@ -13,16 +13,18 @@ Checks, all over QQ with algebraic certificates:
 Singularities and curve intersections are both detected along the vertical
 line pencil: every real point lies on some vertical line, a singular point
 forces a multiple root of the restriction there, and the event classifier
-pins these down exactly.
+pins these down exactly.  A component's stored curve already is its
+restriction G to that pencil (``geometry.BoundaryComponent``), so nothing
+is substituted: F_x is G's c-derivative, and the frame edges are G at
+x = x0, x1 (``SPoly.at_param``) and at y = y0, y1 (``SPoly.at_s``).
 
 Each call of ``validate_scene`` analyses every component along the pencil
-once (``_VerticalAnalysis``: the restriction G, that of F_x, the square-free
-resultant Res_s(G, G_s), its isolating intervals and the signed
-subresultant sequence) and hands that analysis to every check that needs
-it.  The analysis lives only as long as the call.  Each consumer builds its
-own algebraic numbers from the stored intervals: refining a number is
-visible in the floats and witnesses reported later, so a number refined by
-one check must not reach another.
+once (``_VerticalAnalysis``: the square-free resultant Res_s(G, G_s), its
+isolating intervals and the signed subresultant sequence) and hands that
+analysis to every check that needs it.  The analysis lives only as long as
+the call.  Each consumer builds its own algebraic numbers from the stored
+intervals: refining a number is visible in the floats and witnesses
+reported later, so a number refined by one check must not reach another.
 """
 
 from __future__ import annotations
@@ -30,17 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bivar import (
-    SturmHabicht,
-    bp_dx,
-    bp_restrict_line,
-    gcd_at,
-    substitute_line_family,
-    sylvester_resultant,
-)
+from .bivar import SturmHabicht, gcd_at, sylvester_resultant
 from .events import multiple_root_params
-from .geometry import Field, line_family
-from .polys import zp_degree, zp_from_fractions, zp_squarefree_part
+from .polys import zp_degree, zp_squarefree_part
 from .realroots import (
     AlgebraicNumber,
     isolate_real_roots,
@@ -71,23 +65,21 @@ class ValidationReport:
         }
 
 
-_VERTICAL = line_family(Field("constant", direction=(Fraction(0), Fraction(1))))
-
-
 class _VerticalAnalysis:
     """One component along the vertical lines x = c (s is the y coordinate).
 
-    ``G`` and ``fx`` are the SPolys of F and F_x; ``rsf``, ``intervals`` and
-    ``seq`` are the square-free part of Res_s(G, G_s), the isolating
-    intervals of its real roots and the signed subresultant sequence of G
-    (None, [] and None when the resultant vanishes).
+    ``G`` is the stored curve L * F and ``fx`` its c-derivative L * F_x;
+    ``rsf``, ``intervals`` and ``seq`` are the square-free part of
+    Res_s(G, G_s), the isolating intervals of its real roots and the signed
+    subresultant sequence of G (None, [] and None when the resultant
+    vanishes).
     """
 
     __slots__ = ("G", "fx", "rsf", "intervals", "seq")
 
     def __init__(self, comp):
-        self.G = substitute_line_family(comp.implicit, *_VERTICAL)
-        self.fx = substitute_line_family(bp_dx(comp.implicit), *_VERTICAL)
+        self.G = comp.curve
+        self.fx = comp.curve.dc()
         self.rsf, params, self.seq = multiple_root_params(self.G)
         self.intervals = [(a.lo, a.hi) for a in params]
 
@@ -176,15 +168,11 @@ def _probe_values(xs, scene):
 
 def _check_bbox(comp, va, scene, report):
     x0, x1, y0, y1 = scene.bbox
-    edges = [
-        ((x0, 0), (0, 1), y0, y1),   # left edge: x = x0, point (x0, t)
-        ((x1, 0), (0, 1), y0, y1),   # right edge
-        ((0, 1), (y0, 0), x0, x1),   # bottom edge: point (t, y0)
-        ((0, 1), (y1, 0), x0, x1),   # top edge
-    ]
-    for px, py, lo, hi in edges:
-        coeffs = bp_restrict_line(comp.implicit, px, py)
-        p = zp_from_fractions(coeffs)
+    G = va.G
+    # the curve on each frame edge, in y on the left and right, in x below and above
+    edges = [(G.at_param(x0), y0, y1), (G.at_param(x1), y0, y1),
+             (G.at_s(y0), x0, x1), (G.at_s(y1), x0, x1)]
+    for p, lo, hi in edges:
         if not p:
             report.add(f"bbox[{comp.name}]", False, "BBOX: curve contains a frame edge")
             return
@@ -214,7 +202,7 @@ def _hole_witness(hole, va, scene):
     # between consecutive curve points, look for the hole's excluded side
     for i in range(len(roots) - 1):
         mid = (roots[i].hi + roots[i + 1].lo) / 2  # disjoint and sorted
-        if hole.side_value(px, mid) > 0:  # inside the hole: excluded from X
+        if hole.side_sign(px, mid) > 0:  # inside the hole: excluded from X
             return (px, mid)
     return None
 
@@ -237,11 +225,11 @@ def validate_scene(scene) -> ValidationReport:
                        "HOLE_OUTSIDE: no interior witness for the hole")
             continue
         x, y = w
-        ok = scene.outer.side_value(x, y) < 0
+        ok = scene.outer.side_sign(x, y) < 0
         for other in scene.holes:
             if other is hole:
                 continue
-            if other.side_value(x, y) > 0:
+            if other.side_sign(x, y) > 0:
                 ok = False
                 report.add(f"hole_inside[{hole.name}]", False,
                            f"HOLE_OUTSIDE: hole nested inside {other.name}")
@@ -258,7 +246,7 @@ def validate_scene(scene) -> ValidationReport:
                    "" if (dx, dy) != (0, 0) else "FIELD_VANISHES: zero direction")
     else:
         cx, cy = fld.center
-        on_curve = any(comp.side_value(cx, cy) == 0 for comp in scene.components)
+        on_curve = any(comp.side_sign(cx, cy) == 0 for comp in scene.components)
         bad = on_curve or scene.contains(cx, cy, strict=False)
         report.add("field_nonvanishing", not bad,
                    "" if not bad else "FIELD_VANISHES: radial center lies in X")

@@ -1,9 +1,12 @@
 import json
 import pathlib
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from trajspace import geometry, homology, strata, sweep
+from trajspace.polys import zp, zp_primitive
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -18,6 +21,34 @@ def load_fixture(name: str):
 
 GENERIC_FIXTURES = ["disk.json", "disk1.json", "disk2.json", "disk3.json",
                     "disk4.json", "annulus3.json", "fig1.json"]
+
+# ((x + 3)^2 + y^2 - 1) ((x - 3)^2 + y^2 - 1) = (x^2 + y^2 + 8)^2 - 36 x^2,
+# expanded: two disjoint unit circles as one smooth quartic, as scene coeffs
+TWO_OVALS = [[4, 0, 1, 1], [2, 2, 2, 1], [0, 4, 1, 1],
+             [2, 0, -20, 1], [0, 2, 16, 1], [0, 0, 64, 1]]
+
+
+def cleared(coeffs):
+    """Reference: a Fraction coefficient list (low first) cleared of
+    denominators, as a primitive ZP."""
+    fr = [Fraction(c) for c in coeffs]
+    den = lcm(*(f.denominator for f in fr))
+    return zp_primitive(zp(int(f * den) for f in fr))
+
+
+def eval_terms(terms, x, y):
+    """Reference: F(x, y) in Fraction arithmetic, for F given as terms
+    {(i, j): rational coefficient of x^i y^j}."""
+    return sum((Fraction(v) * x**i * y**j for (i, j), v in terms.items()), Fraction(0))
+
+
+def mul_terms(a, b):
+    """Reference: the product of two polynomials given as terms."""
+    out = {}
+    for (i, j), u in a.items():
+        for (k, l), v in b.items():
+            out[i + k, j + l] = out.get((i + k, j + l), 0) + Fraction(u) * Fraction(v)
+    return out
 
 
 def holes_scene(n: int):

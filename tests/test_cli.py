@@ -4,7 +4,7 @@ import pytest
 
 from trajspace.cli import main
 
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, TWO_OVALS, fixture_path
 
 
 def run(capsys, *argv):
@@ -55,6 +55,7 @@ def test_analyze_malformed_exit_1(capsys, tmp_path):
     {"type": "circle", "center": [[0, 1], [0, 1]], "radius": [2, 0]},
     {"type": "polynomial", "coeffs": [[2, 0, 1, 1], [0, 2, 1, 1], [-1, 0, 1, 1]]},
     {"type": "polynomial", "coeffs": [[1, 0, 0, 1]]},
+    5,
 ])
 def test_analyze_bad_curve_is_one_parse_error(capsys, tmp_path, curve):
     scene = tmp_path / "bad.json"
@@ -65,6 +66,47 @@ def test_analyze_bad_curve_is_one_parse_error(capsys, tmp_path, curve):
     code, out = run(capsys, "analyze", str(scene))
     assert code == 1
     assert json.loads(out)["error"] == "PARSE"
+
+
+DISK_OUTER = {"curve": {"type": "circle", "center": [[0, 1], [0, 1]], "radius": [2, 1]}}
+
+
+@pytest.mark.parametrize("outer, holes", [
+    ([1], []),                      # outer is no object
+    (DISK_OUTER, [5]),              # a hole is no object
+    (DISK_OUTER, {"a": 1}),         # holes is no list
+    (DISK_OUTER, [{"curve": [1]}]),
+])
+def test_analyze_non_object_component_is_parse_error(capsys, tmp_path, outer, holes):
+    scene = tmp_path / "bad.json"
+    scene.write_text(json.dumps({
+        "field": {"kind": "constant", "direction": [[0, 1], [1, 1]]},
+        "outer": outer, "holes": holes, "bbox": [[-4, 1], [4, 1], [-4, 1], [4, 1]]}))
+    code, out = run(capsys, "analyze", str(scene))
+    assert code == 1
+    assert json.loads(out)["error"] == "PARSE"
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe\x00",                              # not UTF-8
+    b"[" * 100000 + b"]" * 100000,                # nested past the recursion limit
+    b'{"outer": ' + b"1" * 5000 + b"}",           # an integer too long to convert
+], ids=["not_utf8", "too_deep", "long_integer"])
+def test_analyze_undecodable_scene_is_parse_error(capsys, tmp_path, content):
+    scene = tmp_path / "bad.json"
+    scene.write_bytes(content)
+    code, out = run(capsys, "analyze", str(scene))
+    assert code == 1
+    assert json.loads(out)["error"] == "PARSE"
+
+
+def test_export_non_utf8_scene_is_an_error(capsys, tmp_path):
+    scene = tmp_path / "bad.json"
+    scene.write_bytes(b"\xff\xfe\x00")
+    assert main(["export", str(scene), "--dot", str(tmp_path / "g.dot")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err
+    assert not (tmp_path / "g.dot").exists()
 
 
 def test_analyze_float_radius_is_parse_error(capsys, tmp_path):
@@ -228,12 +270,8 @@ def test_strict_flag_passes_on_good_scene(capsys, tmp_path):
 
 def test_disconnected_region_rejected(capsys, tmp_path):
     import json as _json
-    from trajspace.bivar import bp_mul
-    from trajspace.geometry import circle_poly
-    F = bp_mul(circle_poly(-3, 0, 1), circle_poly(3, 0, 1))
-    coeffs = [[i, j, v.numerator, v.denominator] for (i, j), v in sorted(F.items())]
     doc = {"field": {"kind": "constant", "direction": [[0, 1], [1, 1]]},
-           "outer": {"curve": {"type": "polynomial", "coeffs": coeffs}, "inside_sign": 1},
+           "outer": {"curve": {"type": "polynomial", "coeffs": TWO_OVALS}, "inside_sign": 1},
            "holes": [], "bbox": [[-5, 1], [5, 1], [-3, 1], [3, 1]]}
     scene_file = tmp_path / "twoovals.json"
     scene_file.write_text(_json.dumps(doc))

@@ -3,23 +3,45 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajspace.bivar import bp_eval, bp_mul, bp_normalize, bp_restrict_line
+from trajspace.bivar import substitute_line_family
 from trajspace.geometry import (
+    BoundaryComponent,
     Field,
     SceneError,
     circle_poly,
+    curve_from_terms,
     line_family,
     parse_scene,
     trajectory_line,
 )
+from trajspace.polys import zp_mul, zp_primitive
 from trajspace.sweep import SEAM_ROTATIONS
 
-UNIT_CIRCLE = circle_poly(0, 0, 1)
+from conftest import eval_terms, mul_terms
+
+UNIT_CIRCLE, _ = curve_from_terms(circle_poly(0, 0, 1))
+
+
+def eval_spoly(G, c, s):
+    """Reference: an SPoly at rational (c, s), in Fraction arithmetic."""
+    return sum((Fraction(a) * c**i * s**k for k, co in enumerate(G.coeffs)
+                for i, a in enumerate(co)), Fraction(0))
 
 
 def test_circle_sugar():
-    assert bp_eval(UNIT_CIRCLE, Fraction(1), Fraction(0)) == 0
-    assert bp_eval(UNIT_CIRCLE, Fraction(0), Fraction(0)) == -1
+    assert UNIT_CIRCLE.coeffs == [(-1, 0, 1), (), (1,)]
+    disk = BoundaryComponent(UNIT_CIRCLE, 1, 1, "outer")
+    assert disk.side_sign(Fraction(1), Fraction(0)) == 0
+    assert disk.side_sign(Fraction(0), Fraction(0)) == -1
+    assert disk.side_sign(Fraction(1), Fraction(1)) == 1
+
+
+def test_curve_from_terms_clears_denominators():
+    G, L = curve_from_terms({(1, 0): Fraction(1, 2), (0, 0): Fraction(1, 3),
+                             (0, 2): Fraction(-5, 6), (3, 0): 0})
+    assert (G.coeffs, L) == ([(2, 3), (), (-5,)], 6)
+    with pytest.raises(SceneError, match="identically zero"):
+        curve_from_terms({(1, 1): Fraction(0)})
 
 
 def test_radial_chart_zero_is_positive_x_axis():
@@ -47,8 +69,9 @@ fields = st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_line_family_is_trajectory_line(fld, chart, q, c, s):
     exact = trajectory_line(fld, c, chart, q).point_at(s)
-    x_cs, y_cs = line_family(fld, chart, q)
-    assert exact == (bp_eval(x_cs, c, s), bp_eval(y_cs, c, s))
+    X, Y, m = line_family(fld, chart, q)
+    assert m > 0
+    assert exact == (eval_spoly(X, c, s) / m, eval_spoly(Y, c, s) / m)
     approx = trajectory_line(fld, float(c), chart, float(q)).point_at(float(s))
     assert all(abs(a - float(e)) <= 1e-9 for a, e in zip(approx, exact))
 
@@ -57,45 +80,72 @@ def test_line_family_is_trajectory_line(fld, chart, q, c, s):
 @settings(max_examples=40, deadline=None)
 def test_vertical_trajectory_line(c, s):
     fld = Field("constant", direction=(Fraction(0), Fraction(1)))
-    assert line_family(fld) == ({(1, 0): 1}, {(0, 1): 1})
+    X, Y, m = line_family(fld)
+    assert (X.coeffs, Y.coeffs, m) == ([(0, 1)], [(), (1,)], 1)
     assert trajectory_line(fld, c).point_at(s) == (c, s)
 
 
 @pytest.mark.parametrize("line,expected", [
-    (((0, 0), (0, 1)), [-1, 0, 1]),   # x = 0, y = t
-    (((2, 0), (0, 1)), [3, 0, 1]),    # x = 2, y = t
+    (Fraction(0), (-1, 0, 1)),   # x = 0, in y
+    (Fraction(2), (3, 0, 1)),    # x = 2, in y
 ])
 def test_restrict_unit_circle(line, expected):
-    got = bp_restrict_line(UNIT_CIRCLE, *line)
-    assert [Fraction(c) for c in got] == [Fraction(c) for c in expected]
+    assert UNIT_CIRCLE.at_param(line) == expected
 
 
 def test_restrict_offset_circle_on_ray():
-    circle = circle_poly(3, 0, 1)
-    got = bp_restrict_line(circle, (0, 1), (0, 0))
-    # (t-3)^2 - 1 = t^2 - 6t + 8
-    assert [Fraction(c) for c in got] == [8, -6, 1]
+    circle, _ = curve_from_terms(circle_poly(3, 0, 1))
+    # on y = 0, in x: (x-3)^2 - 1 = x^2 - 6x + 8
+    assert circle.at_s(Fraction(0)) == (8, -6, 1)
 
 
-coeff = st.integers(-4, 4).map(Fraction)
-bipoly = st.dictionaries(
+coeff = st.fractions(-4, 4, max_denominator=6)
+terms = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)), coeff, min_size=1, max_size=4
-).map(bp_normalize)
+).filter(lambda t: any(t.values()))
 
 
-@given(bipoly, bipoly, st.integers(-5, 5), st.integers(-5, 5), st.integers(-3, 3), st.integers(-3, 3))
+@given(terms, terms, rational)
 @settings(max_examples=80, deadline=None)
-def test_restrict_is_ring_homomorphism(F, G, bx, by, dx, dy):
-    px, py = (Fraction(bx), Fraction(dx)), (Fraction(by), Fraction(dy))
-    prod = bp_restrict_line(bp_mul(F, G), px, py)
-    f, g = bp_restrict_line(F, px, py), bp_restrict_line(G, px, py)
-    conv = [Fraction(0)] * (len(f) + len(g) - 1 if f and g else 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            conv[i + j] += a * b
-    n = max(len(prod), len(conv))
-    pad = lambda xs: list(xs) + [Fraction(0)] * (n - len(xs))
-    assert pad(prod) == pad(conv)
+def test_restrict_is_ring_homomorphism(F, G, r):
+    # restricting to x = r or to y = r commutes with products, up to a
+    # positive factor; at_param is primitive, so there it is exact (Gauss)
+    (f, _), (g, _), (fg, _) = (curve_from_terms(t) for t in (F, G, mul_terms(F, G)))
+    assert fg.at_param(r) == zp_mul(f.at_param(r), g.at_param(r))
+    assert zp_primitive(fg.at_s(r)) == zp_primitive(zp_mul(f.at_s(r), g.at_s(r)))
+
+
+@given(terms, st.sampled_from([1, -1]), rational, rational)
+@settings(max_examples=100, deadline=None)
+def test_side_sign_is_the_fraction_sign(F, inside_sign, x, y):
+    comp = BoundaryComponent(*curve_from_terms(F), inside_sign, "outer")
+    v = inside_sign * eval_terms(F, x, y)
+    assert comp.side_sign(x, y) == (v > 0) - (v < 0)
+
+
+FAMILIES = ([("constant", 0, Fraction(0))]
+            + [("radial", chart, q) for chart in (0, 1) for q in SEAM_ROTATIONS])
+
+
+@pytest.mark.parametrize("kind,chart,q", FAMILIES,
+                         ids=[f"{k}{ch}-q{q.numerator}_{q.denominator}" for k, ch, q in FAMILIES])
+@given(F=terms, point=st.tuples(rational, rational).filter(any))
+@settings(max_examples=10, deadline=None)
+def test_substitute_line_family_matches_sympy(kind, chart, q, F, point):
+    # a positive multiple of F(x(c, s), y(c, s)), expanded independently
+    sp = pytest.importorskip("sympy")
+    c, s = sp.symbols("c s")
+    fld = (Field("constant", direction=point) if kind == "constant"
+           else Field("radial", center=point))
+    x, y = (sp.Poly(v, c, s, domain="QQ") for v in trajectory_line(fld, c, chart, q).point_at(s))
+    want = sum((x**i * y**j * sp.Rational(v.numerator, v.denominator) for (i, j), v in F.items()),
+               sp.Poly(0, c, s, domain="QQ"))
+    got = substitute_line_family(curve_from_terms(F)[0], *line_family(fld, chart, q))
+    got = sp.Poly.from_dict({(i, k): a for k, co in enumerate(got.coeffs)
+                             for i, a in enumerate(co) if a}, c, s, domain="QQ")
+    ratio = want.LC() / got.LC()
+    assert ratio > 0
+    assert (want - got * ratio).is_zero
 
 
 def test_parse_rejects_bad_docs():

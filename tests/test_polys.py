@@ -10,7 +10,6 @@ from trajspace.polys import (
     zp_derivative,
     zp_divexact,
     zp_eval_fr,
-    zp_from_fractions,
     zp_gcd,
     zp_mul,
     zp_neg,
@@ -24,6 +23,8 @@ from trajspace.polys import (
     zp_squarefree_part,
 )
 from trajspace.realroots import _poly_range, isolate_real_roots, sturm_chain
+
+from conftest import cleared
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(zp)
 nonzero_polys = small_polys.filter(bool)
@@ -74,7 +75,7 @@ def qq_sturm_chain(p):
     """Reference Sturm chain: remainders over QQ, each made primitive."""
     chain = [p, zp_derivative(p)]
     while chain[-1]:
-        nr = zp_neg(zp_from_fractions(qq_divmod(chain[-2], chain[-1])[1]))
+        nr = zp_neg(cleared(qq_divmod(chain[-2], chain[-1])[1]))
         if not nr:
             break
         chain.append(nr)
@@ -133,7 +134,7 @@ def test_prem_is_scaled_qq_remainder(a, b):
     assert zp_eval_fr(a, x) == zp_eval_fr(quo, x) * zp_eval_fr(b, x) + zp_eval_fr(rem, x)
     e = max(len(a) - len(b) + 1, 0)
     assert zp_prem(a, b) == tuple(c * abs(b[-1]) ** e for c in rem)
-    assert zp_primitive(zp_prem(a, b)) == zp_from_fractions(rem)
+    assert zp_primitive(zp_prem(a, b)) == cleared(rem)
 
 
 @given(small_polys, nonzero_polys)
@@ -190,10 +191,6 @@ def test_derivative_linear(p):
     rhs = zp_add(zp_derivative(p), zp_derivative(q))
     assert lhs == rhs
 
-
-def test_from_fractions_clears_denominators():
-    p = zp_from_fractions([Fraction(1, 2), Fraction(1, 3)])
-    assert p == (3, 2)
 
 @given(repeated_factor_polys(), repeated_factor_polys())
 @settings(max_examples=60, deadline=None)

@@ -9,7 +9,6 @@ from trajspace.polys import (
     zp,
     zp_add,
     zp_eval_fr,
-    zp_from_fractions,
     zp_mul,
     zp_neg,
     zp_pow,
@@ -25,6 +24,8 @@ from trajspace.realroots import (
     sturm_chain,
     count_roots,
 )
+
+from conftest import cleared
 
 
 def poly_from_roots(roots):
@@ -234,7 +235,7 @@ def spolys_at_rational(draw):
 @settings(max_examples=200, deadline=None)
 def test_at_param_is_the_cleared_fraction_evaluation(case):
     G, c = case
-    reference = zp_from_fractions([zp_eval_fr(co, c) for co in G.coeffs])
+    reference = cleared([zp_eval_fr(co, c) for co in G.coeffs])
     assert G.at_param(c) == reference
 
 
@@ -364,7 +365,7 @@ def test_perturbed_double_root_trichotomy():
         for i, a in enumerate(out):
             for j, b in enumerate([Fraction(-3), Fraction(1)]):
                 prod2[i + j] += a * b
-        rm = real_roots_with_multiplicities(zp_from_fractions(prod2))
+        rm = real_roots_with_multiplicities(cleared(prod2))
         assert len(rm) == expect
         assert all(m == 1 for _, m in rm)
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trajspace import render, sweep
-from trajspace.bivar import bp_eval, bp_mul
+from trajspace.geometry import curve_from_terms
 from trajspace.omega import build_poset, export_hasse_dot
 
-from conftest import FIXTURES, analyzed, load_fixture
+from conftest import FIXTURES, analyzed, eval_terms, load_fixture, mul_terms
 
 FIGURES = pathlib.Path(__file__).resolve().parent.parent / "figures"
 
@@ -68,10 +68,11 @@ def grids(draw):
 
 
 def assert_grid_exact(F, xs, ys):
-    got = render._grid_values(F, xs, ys)
-    # bit for bit: hex() also tells 0.0 from -0.0
+    got = render._grid_values(*curve_from_terms(F), xs, ys)
+    # bit for bit against Fraction evaluation: hex() also tells 0.0 from -0.0
     assert [[v.hex() for v in row] for row in got] == \
-        [[float(bp_eval(F, x, y)).hex() for y in ys] for x in xs]
+        [[float(eval_terms(F, x, y)).hex() for y in ys] for x in xs]
+    return got
 
 
 @settings(max_examples=60, deadline=None)
@@ -86,10 +87,8 @@ def test_grid_values_exact_zero_on_curve_through_grid_points(G, axes, data):
     xs, ys = axes
     a = data.draw(st.sampled_from(xs))
     b = data.draw(st.sampled_from(ys))
-    F = bp_mul(bp_mul({(1, 0): Fraction(1), (0, 0): -a},
-                      {(0, 1): Fraction(1), (0, 0): -b}), G)
-    assert_grid_exact(F, xs, ys)
-    vals = render._grid_values(F, xs, ys)
+    F = mul_terms(mul_terms({(1, 0): 1, (0, 0): -a}, {(0, 1): 1, (0, 0): -b}), G)
+    vals = assert_grid_exact(F, xs, ys)
     assert all(vals[xs.index(a)][j] == 0.0 for j in range(len(ys)))
     assert all(row[ys.index(b)] == 0.0 for row in vals)
 

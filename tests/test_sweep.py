@@ -4,10 +4,10 @@ import pytest
 
 from trajspace import sweep
 from trajspace.events import DegenerateScene
-from trajspace.polys import zp_from_fractions, zp_mul, zp_pow
+from trajspace.polys import zp_mul, zp_pow
 from trajspace.realroots import AlgebraicNumber, real_roots_with_multiplicities
 
-from conftest import load_fixture
+from conftest import cleared, load_fixture
 
 
 def test_disk_events():
@@ -351,22 +351,26 @@ def test_crossing_count_changes_by_two_across_events(fig1):
         assert abs(len(left.order) - len(right.order)) == 2
 
 
+def raw_circle(scene, k):
+    """Centre and radius of circle component k, as the input document gives them."""
+    comp = ([scene.raw["outer"]] + scene.raw.get("holes", []))[k]["curve"]
+    assert comp["type"] == "circle"
+    return tuple(Fraction(*v) for v in comp["center"] + [comp["radius"]])
+
+
 def test_circle_events_match_closed_form():
     # for a vertical field, a circle (cx, cy, r) is tangent to the lines
-    # x = cx +- r and nothing else: an independent closed-form oracle
+    # x = cx +- r and nothing else: an independent closed-form oracle, read
+    # off the input document
     from conftest import analyzed
     for fixture in ("disk.json", "disk1.json", "disk2.json", "disk3.json", "disk4.json"):
         a = analyzed(fixture)
         per_comp = {}
         for v in a.graph.vertices:
             ev = v.event
-            F = a.scene.components[ev.component].implicit
-            assert not (set(F) - {(2, 0), (0, 2), (1, 0), (0, 1), (0, 0)})
-            cx = -F.get((1, 0), Fraction(0)) / 2
-            cy = -F.get((0, 1), Fraction(0)) / 2
-            r2 = cx * cx + cy * cy - F.get((0, 0), Fraction(0))
+            cx, _, r = raw_circle(a.scene, ev.component)
             # the event parameter must be a root of (c - cx)^2 - r^2, exactly
-            oracle = zp_from_fractions([cx * cx - r2, -2 * cx, Fraction(1)])
+            oracle = cleared([cx * cx - r * r, -2 * cx, Fraction(1)])
             alpha = AlgebraicNumber(tuple(ev.defining_poly),
                                     Fraction(ev.parameter_interval[0]),
                                     Fraction(ev.parameter_interval[1]))
@@ -385,11 +389,8 @@ def test_radial_events_match_closed_form_angles(annulus3):
                   + (math.pi if v.event.chart == 1 else 0)) % (2 * math.pi)
                  for v in annulus3.graph.vertices)
     expected = []
-    for comp in annulus3.scene.components[2:]:   # the three small holes
-        F = comp.implicit
-        cx = float(-F.get((1, 0), 0) / 2)
-        cy = float(-F.get((0, 1), 0) / 2)
-        r = math.sqrt(cx * cx + cy * cy - float(F.get((0, 0), 0)))
+    for k in range(2, len(annulus3.scene.components)):   # the three small holes
+        cx, cy, r = map(float, raw_circle(annulus3.scene, k))
         theta_c = math.atan2(cy, cx)
         delta = math.asin(r / math.hypot(cx, cy))
         expected.append((theta_c - delta) % (2 * math.pi))
@@ -436,7 +437,7 @@ def window_cases(draw):
     value = st.builds(Fraction, st.integers(1 if radial else -6, 6), st.integers(1, 3))
     ends = st.one_of(st.sampled_from(pool), value) if pool else value
     r_lo, r_hi = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
-    return zp_from_fractions(p), radial, r_lo, r_hi
+    return cleared(p), radial, r_lo, r_hi
 
 
 @given(window_cases())

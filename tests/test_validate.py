@@ -3,7 +3,7 @@ import pytest
 from trajspace.geometry import parse_scene
 from trajspace.validate import interior_point, validate_scene
 
-from conftest import GENERIC_FIXTURES, load_fixture
+from conftest import GENERIC_FIXTURES, TWO_OVALS, load_fixture
 
 VERT = {"kind": "constant", "direction": [[0, 1], [1, 1]]}
 
@@ -82,23 +82,19 @@ def test_disjoint_product_curve_is_smooth():
     # product of two disjoint circles: a smooth quartic whose x-derivative
     # vanishes identically on the symmetry line x = 0 (regression: this must
     # not read as a singular point, the multiple roots there are complex)
-    from trajspace.bivar import bp_mul
-    from trajspace.geometry import circle_poly
-    F = bp_mul(circle_poly(-3, 0, 1), circle_poly(3, 0, 1))
-    coeffs = [[i, j, v.numerator, v.denominator] for (i, j), v in sorted(F.items())]
     sc = parse_scene({
         "field": VERT,
-        "outer": {"curve": {"type": "polynomial", "coeffs": coeffs}, "inside_sign": 1},
+        "outer": {"curve": {"type": "polynomial", "coeffs": TWO_OVALS}, "inside_sign": 1},
         "holes": [], "bbox": [[-5, 1], [5, 1], [-3, 1], [3, 1]]}, name="twoovals")
     report = validate_scene(sc)
     assert report.ok, report.failures()
 
 
 def test_validation_analyses_each_component_once(monkeypatch):
-    # fig1 has 5 components: one restriction of F and one of F_x, and one
-    # resultant analysis, per component and validate_scene call
+    # fig1 has 5 components: one resultant analysis per component and
+    # validate_scene call (the stored curve is already the restriction)
     from trajspace import validate
-    calls = {"substitute_line_family": 0, "multiple_root_params": 0}
+    calls = {"multiple_root_params": 0}
     for name in calls:
         def counted(*args, _name=name, _orig=getattr(validate, name)):
             calls[_name] += 1
@@ -107,4 +103,4 @@ def test_validation_analyses_each_component_once(monkeypatch):
     scene = load_fixture("fig1.json")
     assert len(scene.components) == 5
     assert validate_scene(scene).ok
-    assert calls == {"substitute_line_family": 10, "multiple_root_params": 5}
+    assert calls == {"multiple_root_params": 5}
