@@ -27,6 +27,7 @@ from .events import DegenerateScene, ParamEvent, component_events
 from .polys import zp_degree, zp_sign_at, zp_squarefree_part
 from .realroots import (
     REFINE_BUDGET,
+    AlgebraicNumber,
     real_roots_with_multiplicities,
     separate,
     sturm_chain,
@@ -250,6 +251,9 @@ def _window_counts(p, radial: bool, r_lo: Fraction, r_hi: Fraction):
 def _resolve_event(G, radial: bool, ev: ParamEvent, left_cell: _Cell, right_cell: _Cell):
     """(richer_is_left, j): which cell has component K's two extra
     crossings, and the excision index j of the pair born at the event."""
+    # refine a private copy: the report reads ev.alpha as earlier layers left it
+    ev = ParamEvent(ev.component, ev.chart,
+                    AlgebraicNumber(ev.alpha.poly, ev.alpha.lo, ev.alpha.hi), ev.seq)
     K = ev.component
     nl, nr = len(left_cell.comp_roots[K]), len(right_cell.comp_roots[K])
     if abs(nl - nr) != 2:
@@ -504,6 +508,7 @@ def _apply_event(uf, cells, i, k, ev, richer_is_left, j, vid, attach, scene, q):
 
     pattern = (2,) if pinch is not None else (1, 2, 1)
     # tangency point, for reports and figures
+    ev.alpha.refine_below(Fraction(1, 10**12))
     s_lo, s_hi = ev.s_star_interval(Fraction(1, 10**12))
     s_approx = float((s_lo + s_hi) / 2)
     line = geometry.trajectory_line(scene.field, (ev.alpha.lo + ev.alpha.hi) / 2, ev.chart, q)
