@@ -11,7 +11,9 @@ sweep rotates its charts (seam rotation 1/7), so its SVG draws trajectory
 lines through the rotated float view.  The holes8 line covers the stress
 scene with eight small holes under the field (3, 7), whose sweep meets 16
 merge/split (121) and 2 birth/death (2) events; `holes_doc` builds it in
-memory from its formula.  The rejected line covers the reports of seven
+memory from its formula.  The deg10 line covers the stress scene
+x^10 + y^10 + x^7 y^3 / 7 - 30 under (3, 7) in the box +-4, built by
+`deg_doc`.  The rejected line covers the reports of seven
 scenes built in memory that fail validation (`REJECTED_SCENES`: a curve
 that meets the frame, a curve wholly outside the box, a hole outside the
 outer curve, nested holes, overlapping holes, the nodal quartic and a
@@ -109,6 +111,16 @@ def holes_doc(n):
             "holes": holes, "bbox": [lo, hi, lo, hi]}
 
 
+def deg_doc(d):
+    """The stress scene degD: the curve x^d + y^d + x^(d-3) y^3 / 7 - 30
+    under the field (3, 7), bbox +-4."""
+    coeffs = [[d, 0, 1, 1], [0, d, 1, 1], [d - 3, 3, 1, 7], [0, 0, -30, 1]]
+    lo, hi = [-4, 1], [4, 1]
+    return {"field": {"kind": "constant", "direction": [[3, 1], [7, 1]]},
+            "outer": {"curve": {"type": "polynomial", "coeffs": coeffs}, "inside_sign": 1},
+            "holes": [], "bbox": [lo, hi, lo, hi]}
+
+
 def scene_digest(path, tmp):
     outs = [tmp / "report.json", tmp / "scene.dot", tmp / "scene.svg"]
     for out in outs:
@@ -144,6 +156,10 @@ def main():
         holes = pathlib.Path(tmp) / "holes8.json"
         holes.write_text(json.dumps(holes_doc(8)))
         print(f"{scene_digest(holes, pathlib.Path(tmp))}  holes8: 8 holes under (3,7)", flush=True)
+        deg = pathlib.Path(tmp) / "deg10.json"
+        deg.write_text(json.dumps(deg_doc(10)))
+        print(f"{scene_digest(deg, pathlib.Path(tmp))}  deg10: degree-10 curve under (3,7)",
+              flush=True)
         h = hashlib.sha256()
         for name, doc in REJECTED_SCENES.items():
             path = pathlib.Path(tmp) / f"{name}.json"

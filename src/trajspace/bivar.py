@@ -11,8 +11,8 @@ Fraction.  Subresultants w.r.t. s, the resultant among them, are
 determinants of Sylvester submatrices whose entries are ZPs in c, taken
 with Bareiss fraction-free elimination.  The signed subresultant sequence
 of G and dG/ds decides everything about G(alpha, s) at a real algebraic
-alpha (gcd degree, tangent point, real roots in an interval) through signs
-of integer polynomials at alpha.
+alpha (gcd degree, tangent point, number of real roots) through signs of
+integer polynomials at alpha.
 """
 
 from __future__ import annotations
@@ -229,9 +229,9 @@ class SturmHabicht:
       - deg gcd(G(alpha, s), G_s(alpha, s)) is the least j whose principal
         coefficient (that of s^j in entry j) is nonzero at alpha; entry j is
         then a gcd, and the entries below it vanish at alpha;
-      - the sign variations of the entries at s = a, minus those at s = b,
-        count the distinct real roots of G(alpha, s) in (a, b] when neither
-        end is a root, as for a Sturm sequence.
+      - the sign variations of the entries at s = -inf, minus those at
+        s = +inf, count the distinct real roots of G(alpha, s), as for a
+        Sturm sequence.
     """
 
     def __init__(self, G: SPoly, res: ZP):
@@ -261,15 +261,6 @@ class SturmHabicht:
     def gcd_degree(self, alpha) -> int:
         """deg gcd(G(alpha, s), G_s(alpha, s)); 0 when deg G < 1."""
         return next((j for j in range(self.p) if alpha.sign_of(self[j].coeff(j)) != 0), 0)
-
-    def sign_at(self, alpha, s: Fraction) -> int:
-        """Sign of G(alpha, s) at a rational s."""
-        return alpha.sign_of(self[self.p].at_s(s))
-
-    def count_roots(self, alpha, lo: Fraction, hi: Fraction) -> int:
-        """Distinct real roots of G(alpha, s) in (lo, hi]; lo, hi not roots."""
-        return (self._variations(lambda S: alpha.sign_of(S.at_s(lo)))
-                - self._variations(lambda S: alpha.sign_of(S.at_s(hi))))
 
     def real_root_count(self, alpha) -> int:
         """Distinct real roots of G(alpha, s)."""

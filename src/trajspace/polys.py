@@ -20,8 +20,8 @@ the primitive part of the remainder over QQ, signs included (Collins,
 JACM 1967; Basu, Pollack, Roy, Algorithms in Real Algebraic Geometry,
 ch. 8).  Quotients by a primitive divisor are exact over ZZ by Gauss's
 lemma (``zp_divexact``), which is how square-free parts and Yun's
-decomposition divide.  ``zp_mul`` and ``zp_pow`` only add and multiply, so
-they also expand tuples of Fractions.
+decomposition divide.  ``zp_mul`` only adds and multiplies, so it also
+expands tuples of Fractions.
 """
 
 from __future__ import annotations
@@ -74,13 +74,6 @@ def zp_mul(p: ZP, q: ZP) -> ZP:
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return zp(out)
-
-
-def zp_pow(p: ZP, n: int) -> ZP:
-    out = (1,)
-    for _ in range(n):
-        out = zp_mul(out, p)
-    return out
 
 
 def zp_shift(p: ZP, a: int) -> ZP:

@@ -252,6 +252,27 @@ class AlgebraicNumber:
             self.refine()
         raise RuntimeError("sign test did not converge")
 
+    def nonvanishing_interval(self, qs, lo: Fraction, hi: Fraction):
+        """Rationals a < alpha < b inside (lo, hi) on which no polynomial in
+        ``qs`` vanishes; lo < alpha < hi, and each q must be nonzero at alpha.
+
+        Each q is tested on its own by its ``_poly_range`` over [a, b].  An
+        irrational alpha is refined until its interval serves; a rational
+        one gives a, b = alpha -+ d, halving d.
+        """
+        d = None
+        for _ in range(REFINE_BUDGET):
+            if self.is_rational:
+                d = min(self.lo - lo, hi - self.lo) / 2 if d is None else d / 2
+                a, b = self.lo - d, self.lo + d
+            else:
+                a, b = self.lo, self.hi
+            if lo < a and b < hi and all(r[0] > 0 or r[1] < 0
+                                         for r in (_poly_range(q, a, b) for q in qs)):
+                return a, b
+            self.refine()
+        raise RuntimeError("no interval clear of the polynomials' roots")
+
     def equals(self, other: "AlgebraicNumber") -> bool:
         if self.is_rational and other.is_rational:
             return self.lo == other.lo

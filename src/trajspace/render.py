@@ -85,6 +85,12 @@ def _marching_segments(G, L, bbox, n=160):
     return segs
 
 
+def _num(v: float) -> str:
+    """v to two decimals, never as negative zero."""
+    s = f"{v:.2f}"
+    return "0.00" if s == "-0.00" else s
+
+
 class _Canvas:
     def __init__(self, bbox, size=640):
         x0, x1, y0, y1 = (float(v) for v in bbox)
@@ -101,20 +107,20 @@ class _Canvas:
         (xa, ya), (xb, yb) = self.pt(*a), self.pt(*b)
         d = f' stroke-dasharray="{dash}"' if dash else ""
         self.items.append(
-            f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{yb:.2f}" '
+            f'<line x1="{_num(xa)}" y1="{_num(ya)}" x2="{_num(xb)}" y2="{_num(yb)}" '
             f'stroke="{stroke}" stroke-width="{width}"{d}/>')
 
     def circle(self, c, r, fill):
         x, y = self.pt(*c)
-        self.items.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" fill="{fill}"/>')
+        self.items.append(f'<circle cx="{_num(x)}" cy="{_num(y)}" r="{r}" fill="{fill}"/>')
 
     def polygon(self, pts, fill, opacity=0.5):
-        s = " ".join(f"{x:.2f},{y:.2f}" for x, y in (self.pt(*p) for p in pts))
+        s = " ".join(f"{_num(x)},{_num(y)}" for x, y in (self.pt(*p) for p in pts))
         self.items.append(f'<polygon points="{s}" fill="{fill}" opacity="{opacity}" stroke="none"/>')
 
     def text(self, p, s, size=11):
         x, y = self.pt(*p)
-        self.items.append(f'<text x="{x + 4:.2f}" y="{y - 4:.2f}" font-size="{size}">{s}</text>')
+        self.items.append(f'<text x="{_num(x + 4)}" y="{_num(y - 4)}" font-size="{size}">{s}</text>')
 
     def to_svg(self):
         body = "\n".join(self.items)

@@ -8,16 +8,18 @@ numeric proximity.  Vertices are tangency events; a univalent vertex is a
 birth/death (pattern (2)), a trivalent one a merge/split (pattern (121)).
 
 At an event, component K has two more crossings on one side (the richer
-cell) than on the other.  Sturm counts at a pair of probes straddling the
-event give the excision index j: the pair born at the tangency is the
+cell) than on the other.  One certified step (``_resolve_event``), on a
+private copy of the event parameter, finds the pair born there: it is the
 richer side's crossings (K, j) and (K, j + 1), adjacent in the merged
-order.  The pattern is then read off the richer cell, whose gaps were each
-point-tested once when it was sampled: (2) exactly when it has a trajectory
-from (K, j) to (K, j + 1), (121) otherwise.
+order, which cannot change within a cell since validated curves are
+disjoint.  The pattern is then read off the richer cell, whose gaps were
+each point-tested once when it was sampled: (2) exactly when it has a
+trajectory from (K, j) to (K, j + 1), (121) otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,6 +41,9 @@ from .realroots import (
 class MatchingAmbiguous(Exception):
     """Internal consistency failure while matching across an event."""
 
+
+# s*-window widths 4^-1 ... 4^-WINDOW_SHRINKS tried at one event
+WINDOW_SHRINKS = 64
 
 SEAM_ROTATIONS = [Fraction(0), Fraction(1, 7), Fraction(1, 9), Fraction(2, 7),
                   Fraction(1, 5), Fraction(3, 8), Fraction(2, 9)]
@@ -207,31 +212,6 @@ def _sample_cell(scene, spolys, chart, q, lo: Fraction, hi: Fraction) -> _Cell:
 
 # --- event-boundary matching -------------------------------------------------
 
-def _isolate_sstar_window(ev: ParamEvent, radial: bool):
-    """Rationals r_lo < s* < r_hi containing no other real root of G(alpha)."""
-    width = Fraction(1, 4)
-    for _ in range(200):
-        r_lo, r_hi = ev.s_star_interval(width)
-        pad = (r_hi - r_lo) / 4 if r_hi > r_lo else Fraction(1, 1024)
-        r_lo, r_hi = r_lo - pad, r_hi + pad
-        if radial and r_lo <= 0:
-            width /= 4
-            continue
-        # nudge endpoints off roots of G(alpha, .)
-        bump = (r_hi - r_lo) / 17
-        tries = 0
-        while ev.seq.sign_at(ev.alpha, r_lo) == 0 and tries < 40:
-            r_lo -= bump
-            tries += 1
-        while ev.seq.sign_at(ev.alpha, r_hi) == 0 and tries < 80:
-            r_hi += bump
-            tries += 1
-        if ev.seq.count_roots(ev.alpha, r_lo, r_hi) == 1:
-            return r_lo, r_hi
-        width /= 4
-    raise MatchingAmbiguous("could not isolate the tangency point")
-
-
 def _window_counts(p, radial: bool, r_lo: Fraction, r_hi: Fraction):
     """Distinct real roots of a sample line's crossing polynomial, counted
     with one Sturm chain of its square-free part: (all of them, those at or
@@ -250,52 +230,53 @@ def _window_counts(p, radial: bool, r_lo: Fraction, r_hi: Fraction):
 
 def _resolve_event(G, radial: bool, ev: ParamEvent, left_cell: _Cell, right_cell: _Cell):
     """(richer_is_left, j): which cell has component K's two extra
-    crossings, and the excision index j of the pair born at the event."""
-    # refine a private copy: the report reads ev.alpha as earlier layers left it
-    ev = ParamEvent(ev.component, ev.chart,
-                    AlgebraicNumber(ev.alpha.poly, ev.alpha.lo, ev.alpha.hi), ev.seq)
+    crossings, and the excision index j of the pair born at the event.
+
+    Dyadic r_lo < s* < r_hi and probes a < alpha < b in the adjacent cells
+    are certified so that on [a, b] G_K keeps its s-degree and has no root
+    at s = r_lo, r_hi or (radial) 0.  Any other root of G_K(alpha, .) in
+    (r_lo, r_hi) is simple and persists on both sides, so one Sturm count
+    per probe decides: if the poorer side has no crossing there, s* is alone
+    in it, and j counts the crossings at or below r_lo on either side.
+    Otherwise the window shrinks.
+    """
     K = ev.component
     nl, nr = len(left_cell.comp_roots[K]), len(right_cell.comp_roots[K])
     if abs(nl - nr) != 2:
         raise MatchingAmbiguous(
             f"crossing count changed by {nl - nr} across event at {float(ev.alpha):.6g}")
     richer_is_left = nl > nr
-    r_lo, r_hi = _isolate_sstar_window(ev, radial)
+    # refine a private copy: the report reads ev.alpha as earlier layers left it
+    ev = ParamEvent(K, ev.chart, AlgebraicNumber(ev.alpha.poly, ev.alpha.lo, ev.alpha.hi),
+                    ev.seq)
+    alpha, GK = ev.alpha, G[K]
+    lead = GK.coeffs[-1]
+    if alpha.sign_of(lead) == 0:
+        raise MatchingAmbiguous(f"leading coefficient vanishes at the {_name(ev)}")
+    width = Fraction(1, 4)
+    for _ in range(WINDOW_SHRINKS):
+        # widen the s* bounds by width/2 to width, to multiples of width/2
+        s_lo, s_hi = ev.s_star_interval(width)
+        half = width / 2
+        r_lo = Fraction(math.floor(s_lo / half) - 1) * half
+        r_hi = Fraction(math.ceil(s_hi / half) + 1) * half
+        factors = [GK.at_s(r) for r in ([r_lo, r_hi, Fraction(0)] if radial else [r_lo, r_hi])]
+        if (not radial or r_lo > 0) and all(alpha.sign_of(f) for f in factors):
+            a, b = alpha.nonvanishing_interval([lead] + factors,
+                                               left_cell.sample, right_cell.sample)
+            rich_c, poor_c = (a, b) if richer_is_left else (b, a)
+            poor_n, poor_j, poor_in = _window_counts(GK.at_param(poor_c), radial, r_lo, r_hi)
+            if poor_in == 0:
+                rich_n, j, rich_in = _window_counts(GK.at_param(rich_c), radial, r_lo, r_hi)
+                if (rich_n, poor_n, rich_in, poor_j) != (max(nl, nr), min(nl, nr), 2, j):
+                    raise MatchingAmbiguous(f"crossing counts disagree at the {_name(ev)}")
+                return richer_is_left, j
+        width /= 4
+    raise MatchingAmbiguous(f"could not isolate the tangency point of the {_name(ev)}")
 
-    # probes straddling alpha, strictly inside the adjacent cells, converging
-    # to alpha; rational event parameters need explicit geometric shrinking
-    gap_l = (ev.alpha.lo - left_cell.sample) / 2
-    gap_r = (right_cell.sample - ev.alpha.hi) / 2
 
-    def probes(k):
-        if ev.alpha.is_rational:
-            r = ev.alpha.lo
-            return r - gap_l / 2**k, r + gap_r / 2**k
-        return ev.alpha.lo, ev.alpha.hi
-
-    # A pair of probes is accepted by Sturm counts alone: component K has its
-    # richer and poorer crossing counts there, exactly two crossings inside
-    # the s*-window (r_lo, r_hi) on the richer side and none on the poorer
-    # one, and no other component crosses that window on either side.  Then
-    # the pair born at s* is the richer side's crossings j and j+1, where j
-    # (the excision index) counts the crossings at or below r_lo, on both
-    # sides alike.  A rejected pair bisects alpha once and tries again.
-    def window_clear(c, comp):
-        return _window_counts(G[comp].at_param(c), radial, r_lo, r_hi)[2] == 0
-
-    for attempt in range(300):
-        a, b = probes(attempt)
-        rich_c, poor_c = (a, b) if richer_is_left else (b, a)
-        rich_n, j, rich_in = _window_counts(G[K].at_param(rich_c), radial, r_lo, r_hi)
-        poor_n, poor_j, poor_in = _window_counts(G[K].at_param(poor_c), radial, r_lo, r_hi)
-        if ((rich_n, poor_n, rich_in, poor_in) == (max(nl, nr), min(nl, nr), 2, 0)
-                and all(window_clear(c, comp) for comp in range(len(G)) if comp != K
-                        for c in (rich_c, poor_c))):
-            if poor_j != j:
-                raise MatchingAmbiguous("excision index mismatch across event")
-            return richer_is_left, j
-        ev.alpha.refine()
-    raise MatchingAmbiguous("pair localization did not converge")
+def _name(ev: ParamEvent) -> str:
+    return f"event of component {ev.component} at {float(ev.alpha):.6g}"
 
 
 # --- graph assembly ----------------------------------------------------------

@@ -6,7 +6,7 @@ from math import lcm
 import pytest
 
 from trajspace import geometry, homology, strata, sweep
-from trajspace.polys import zp, zp_primitive
+from trajspace.polys import zp, zp_mul, zp_primitive
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -34,6 +34,14 @@ def cleared(coeffs):
     fr = [Fraction(c) for c in coeffs]
     den = lcm(*(f.denominator for f in fr))
     return zp_primitive(zp(int(f * den) for f in fr))
+
+
+def zp_pow(p, n):
+    """Reference: p**n by repeated ``zp_mul``; p may hold Fractions."""
+    out = (1,)
+    for _ in range(n):
+        out = zp_mul(out, p)
+    return out
 
 
 def eval_terms(terms, x, y):

@@ -13,7 +13,6 @@ from trajspace.polys import (
     zp_gcd,
     zp_mul,
     zp_neg,
-    zp_pow,
     zp_prem,
     zp_primitive,
     zp_scale,
@@ -24,7 +23,7 @@ from trajspace.polys import (
 )
 from trajspace.realroots import _poly_range, isolate_real_roots, sturm_chain
 
-from conftest import cleared
+from conftest import cleared, zp_pow
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(zp)
 nonzero_polys = small_polys.filter(bool)

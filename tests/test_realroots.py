@@ -11,7 +11,6 @@ from trajspace.polys import (
     zp_eval_fr,
     zp_mul,
     zp_neg,
-    zp_pow,
     zp_squarefree_part,
 )
 from trajspace.realroots import (
@@ -25,7 +24,7 @@ from trajspace.realroots import (
     count_roots,
 )
 
-from conftest import cleared
+from conftest import cleared, zp_pow
 
 
 def poly_from_roots(roots):
@@ -398,10 +397,24 @@ def test_field_sturm_counts():
     # G = (s - c)(s + 1): roots at -1 and sqrt2 when c = sqrt2
     seq = SturmHabicht.of(SPoly([(0, -1), (1, -1), (1,)]))
     assert seq.gcd_degree(sqrt2) == 0
-    assert seq.count_roots(sqrt2, Fraction(-2), Fraction(0)) == 1
-    assert seq.count_roots(sqrt2, Fraction(0), Fraction(2)) == 1
-    assert seq.count_roots(sqrt2, Fraction(-2), Fraction(2)) == 2
     assert seq.real_root_count(sqrt2) == 2
+
+
+def test_nonvanishing_interval_refines_an_irrational_number():
+    # 7/5 < sqrt 2: the interval must shrink until it leaves 7/5 out
+    sqrt2 = AlgebraicNumber(zp([-2, 0, 1]), Fraction(1), Fraction(2))
+    a, b = sqrt2.nonvanishing_interval([zp([-7, 5]), zp([-3, 1])], Fraction(1), Fraction(3))
+    assert (a, b) == (sqrt2.lo, sqrt2.hi)
+    assert Fraction(7, 5) < a and a * a < 2 < b * b
+
+
+def test_nonvanishing_interval_halves_around_a_rational_number():
+    # 1 -+ d for d = 1/2, 1/4, ...: the range bound of 8c - 9 first clears 0
+    # on [31/32, 33/32], though 9/8 already lies outside [15/16, 17/16]
+    one = AlgebraicNumber.from_rational(1)
+    assert one.nonvanishing_interval([zp([-9, 8])], Fraction(0), Fraction(2)) == (
+        Fraction(31, 32), Fraction(33, 32))
+    assert one.is_rational and one.lo == 1
 
 
 def test_sturm_count_interval():
@@ -429,7 +442,7 @@ def _spoly_mul(P, Q):
 
 @st.composite
 def _scene_at_alpha(draw):
-    """G in ZZ[c][s], alpha rational or quadratic, and windows in s."""
+    """G in ZZ[c][s] and alpha, rational or quadratic."""
     def spoly(deg_s):
         return SPoly([zp(draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3)))
                       for _ in range(deg_s + 1)])
@@ -448,16 +461,14 @@ def _scene_at_alpha(draw):
         q = zp([b * b - d, -2 * b, 1])          # roots b +- sqrt(d)
         lo, hi = draw(st.sampled_from(isolate_real_roots(q)))
         alpha = AlgebraicNumber(q, lo, hi)
-    windows = draw(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)),
-                            min_size=1, max_size=4))
-    return G, alpha, windows
+    return G, alpha
 
 
 @given(_scene_at_alpha())
 @settings(max_examples=80, deadline=None)
 def test_subresultant_signs_match_sympy(case):
     sp = pytest.importorskip("sympy")
-    G, alpha, windows = case
+    G, alpha = case
     c, s = sp.symbols("c s")
     expr = sum((sum(a * c**i for i, a in enumerate(co)) * s**k
                 for k, co in enumerate(G.coeffs)), sp.Integer(0))
@@ -472,9 +483,3 @@ def test_subresultant_signs_match_sympy(case):
     sqf = sp.quo(g, gcd)
     roots = [r for r in sp.Poly(sqf, s).nroots(n=40) if abs(sp.im(r)) < 1e-25]
     assert seq.real_root_count(alpha) == len(roots)
-    for lo, width in windows:
-        lo, hi = Fraction(lo, 3), Fraction(lo + width, 3)
-        if seq.sign_at(alpha, lo) == 0 or seq.sign_at(alpha, hi) == 0:
-            continue
-        expected = sum(1 for r in roots if lo < sp.re(r) <= hi)
-        assert seq.count_roots(alpha, lo, hi) == expected

@@ -34,6 +34,20 @@ def test_annulus3_svg_has_all_vertices():
     assert len(re.findall(r"<polygon", svg)) + len(re.findall(r'stroke-width="6.0"', svg)) == 9
 
 
+def test_svg_prints_no_negative_zero():
+    # a point just outside the top-left corner maps to tiny negative canvas
+    # coordinates, which round to zero
+    canvas = render._Canvas((Fraction(-1), Fraction(1), Fraction(-1), Fraction(1)))
+    corner = (-1 - 1e-9, 1 + 1e-9)
+    canvas.line(corner, (0, 0), "#000000")
+    canvas.polygon([corner, (0, 0), (1, 0)], "#ffffff")
+    canvas.circle(corner, 4.0, "#d03030")
+    svg = canvas.to_svg()
+    assert "-0.00" not in svg
+    assert 'x1="0.00" y1="0.00"' in svg and 'points="0.00,0.00 ' in svg
+    assert 'cx="0.00" cy="0.00"' in svg
+
+
 def test_scene_without_graph_renders_curves_only():
     scene = load_fixture("disk1.json")
     svg = render.scene_svg(scene)

@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from trajspace import sweep
+from trajspace import geometry, sweep
 from trajspace.events import DegenerateScene
-from trajspace.polys import zp_mul, zp_pow
+from trajspace.polys import zp_mul
 from trajspace.realroots import AlgebraicNumber, real_roots_with_multiplicities
 
-from conftest import cleared, load_fixture
+from conftest import FIXTURES, GENERIC_FIXTURES, TWO_OVALS, cleared, load_fixture, zp_pow
 
 
 def test_disk_events():
@@ -351,6 +351,10 @@ def test_crossing_count_changes_by_two_across_events(fig1):
         assert abs(len(left.order) - len(right.order)) == 2
 
 
+def is_circle(scene, k):
+    return ([scene.raw["outer"]] + scene.raw.get("holes", []))[k]["curve"]["type"] == "circle"
+
+
 def raw_circle(scene, k):
     """Centre and radius of circle component k, as the input document gives them."""
     comp = ([scene.raw["outer"]] + scene.raw.get("holes", []))[k]["curve"]
@@ -358,26 +362,140 @@ def raw_circle(scene, k):
     return tuple(Fraction(*v) for v in comp["center"] + [comp["radius"]])
 
 
+TILTED = sorted((FIXTURES.parent / "perfbench" / "scenes" / "tilted").glob("*.json"))
+
+
 def test_circle_events_match_closed_form():
-    # for a vertical field, a circle (cx, cy, r) is tangent to the lines
-    # x = cx +- r and nothing else: an independent closed-form oracle, read
-    # off the input document
+    # under the constant field d, the trajectory line at c is p . n = c |n|^2
+    # with n = (dy, -dx); a circle (C, r) touches it exactly when
+    # (c |n|^2 - C . n)^2 = r^2 |n|^2, at the points C +- r n / |n|: an
+    # independent closed-form oracle, read off the input document
+    import math
     from conftest import analyzed
-    for fixture in ("disk.json", "disk1.json", "disk2.json", "disk3.json", "disk4.json"):
-        a = analyzed(fixture)
-        per_comp = {}
-        for v in a.graph.vertices:
+    graphs = [(analyzed(f).scene, analyzed(f).graph)
+              for f in GENERIC_FIXTURES if analyzed(f).scene.field.kind == "constant"]
+    for path in TILTED:
+        scene = geometry.load_scene(str(path))
+        graphs.append((scene, sweep.build_trajectory_space(scene)))
+    circles = 0
+    for scene, graph in graphs:
+        dx, dy = scene.field.direction
+        n2 = dx * dx + dy * dy
+        sides = {}
+        for v in graph.vertices:
             ev = v.event
-            cx, _, r = raw_circle(a.scene, ev.component)
-            # the event parameter must be a root of (c - cx)^2 - r^2, exactly
-            oracle = cleared([cx * cx - r * r, -2 * cx, Fraction(1)])
+            if not is_circle(scene, ev.component):
+                continue
+            cx, cy, r = raw_circle(scene, ev.component)
+            cn = cx * dy - cy * dx
+            oracle = cleared([cn * cn - r * r * n2, -2 * n2 * cn, n2 * n2])
             alpha = AlgebraicNumber(tuple(ev.defining_poly),
                                     Fraction(ev.parameter_interval[0]),
                                     Fraction(ev.parameter_interval[1]))
-            assert alpha.sign_of(oracle) == 0, (fixture, v.id)
-            per_comp[ev.component] = per_comp.get(ev.component, 0) + 1
-        assert all(n == 2 for n in per_comp.values())   # two vertical tangents each
-        assert len(per_comp) == len(a.scene.components)
+            assert alpha.sign_of(oracle) == 0, (scene.name, v.id)
+            unit = (float(dy) / math.sqrt(n2), -float(dx) / math.sqrt(n2))
+            errs = {sign: max(abs(ev.point[0] - float(cx) - sign * float(r) * unit[0]),
+                              abs(ev.point[1] - float(cy) - sign * float(r) * unit[1]))
+                    for sign in (1, -1)}
+            sign = min(errs, key=errs.get)
+            assert errs[sign] < 1e-9, (scene.name, v.id, ev.point)
+            sides.setdefault(ev.component, []).append(sign)
+        # each circle has one tangency on either side of its centre
+        assert all(sorted(ss) == [-1, 1] for ss in sides.values()), scene.name
+        assert len(sides) == sum(is_circle(scene, k) for k in range(len(scene.components)))
+        circles += len(sides)
+    assert circles == 22
+
+
+def counting_window_counts(monkeypatch):
+    """Record every ``sweep._window_counts`` result."""
+    calls, orig = [], sweep._window_counts
+    monkeypatch.setattr(sweep, "_window_counts", lambda *a: calls.append(orig(*a)) or calls[-1])
+    return calls
+
+
+@pytest.mark.parametrize("name", GENERIC_FIXTURES)
+def test_event_resolution_counts_once_per_probe(monkeypatch, name):
+    # one Sturm window count per probe, for the event's component only, and
+    # the event parameter left as the earlier layers refined it
+    calls = counting_window_counts(monkeypatch)
+    orig, untouched = sweep._resolve_event, []
+
+    def resolve(G, radial, ev, left, right):
+        before = (ev.alpha.lo, ev.alpha.hi)
+        out = orig(G, radial, ev, left, right)
+        untouched.append((ev.alpha.lo, ev.alpha.hi) == before)
+        return out
+
+    monkeypatch.setattr(sweep, "_resolve_event", resolve)
+    g = sweep.build_trajectory_space(load_fixture(name))
+    assert len(untouched) == g.vertex_count and all(untouched)
+    assert len(calls) == 2 * g.vertex_count
+
+
+def two_ovals_hole_scene(k, direction):
+    """A unit disk with one hole: the curve TWO_OVALS, two circles of radius
+    1 at (+-3, 0), scaled by k."""
+    k = Fraction(k)
+    coeffs = []
+    for i, j, num, den in TWO_OVALS:
+        v = Fraction(num, den) * k ** (4 - i - j)
+        coeffs.append([i, j, v.numerator, v.denominator])
+    return parse_scene({
+        "field": {"kind": "constant", "direction": direction},
+        "outer": {"curve": {"type": "circle", "center": [[0, 1], [0, 1]], "radius": [1, 1]},
+                  "inside_sign": 1},
+        "holes": [{"curve": {"type": "polynomial", "coeffs": coeffs}, "inside_sign": -1}],
+        "bbox": [[-2, 1], [2, 1], [-2, 1], [2, 1]]}, name="twoovals")
+
+
+def sympy_tangency_count(scene, k):
+    """Real points of component k where the constant field is tangent."""
+    sp = pytest.importorskip("sympy")
+    x, y = sp.symbols("x y")
+    comp = ([scene.raw["outer"]] + scene.raw["holes"])[k]["curve"]
+    F = sum(sp.Rational(num, den) * x**i * y**j for i, j, num, den in comp["coeffs"])
+    dx, dy = (sp.Rational(*v) for v in scene.raw["field"]["direction"])
+    T = sp.expand(dx * sp.diff(F, x) + dy * sp.diff(F, y))
+    sols = sp.solve_poly_system([sp.expand(F), T], x, y)
+    return sum(1 for sol in sols if all(v.is_real for v in sol))
+
+
+def test_window_shrinks_when_the_event_line_meets_the_component_again(monkeypatch):
+    # the two ovals are 3/8 apart and the field runs nearly along their line
+    # of centres, so the line tangent to one oval crosses the other inside
+    # the first s*-window; the poorer side then counts crossings there and
+    # the window must shrink before the event resolves
+    from trajspace import homology, strata, validate
+    scene = two_ovals_hole_scene(Fraction(1, 16), [[10, 1], [1, 1]])
+    assert validate.validate_scene(scene).ok
+    calls = counting_window_counts(monkeypatch)
+    g = sweep.build_trajectory_space(scene)
+    # two calls per event, plus one for each poorer-side count that was not 0
+    assert len(calls) > 2 * g.vertex_count
+    per_comp = [sum(1 for v in g.vertices if v.tangent_component == k) for k in (0, 1)]
+    assert per_comp == [2, sympy_tangency_count(scene, 1)] == [2, 4]
+    # the paper's identities with h = 2 holes (the two ovals)
+    n2, n121, h = g.pattern_counts()[(2,)], g.pattern_counts()[(1, 2, 1)], 2
+    assert n2 == n121 + 2 - 2 * h
+    assert 2 * g.edge_count == n2 + 3 * n121
+    table = strata.build_strata(g, scene)
+    assert homology.cw_complex_of_double(table).betti_numbers() == [1, 2 * h, 1]
+
+
+def test_leading_coefficient_vanishing_at_an_event_is_named():
+    # (x - 1)^2 y^4 + y^2 + x^2 - 1 along vertical lines: the s-leading
+    # coefficient (x - 1)^2 vanishes at the tangency x = 1, where no window
+    # certificate exists; the event is named instead of refined forever
+    scene = parse_scene({
+        "field": {"kind": "constant", "direction": [[0, 1], [1, 1]]},
+        "outer": {"curve": {"type": "polynomial", "coeffs":
+                  [[2, 4, 1, 1], [1, 4, -2, 1], [0, 4, 1, 1], [0, 2, 1, 1],
+                   [2, 0, 1, 1], [0, 0, -1, 1]]}, "inside_sign": 1},
+        "holes": [], "bbox": [[-2, 1], [2, 1], [-2, 1], [2, 1]]}, name="lcevent")
+    with pytest.raises(sweep.MatchingAmbiguous,
+                       match="leading coefficient vanishes at the event of component 0 at 1"):
+        sweep.build_trajectory_space(scene)
 
 
 def test_radial_events_match_closed_form_angles(annulus3):
