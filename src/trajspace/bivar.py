@@ -264,11 +264,9 @@ class SturmHabicht:
 
     def real_root_count(self, alpha) -> int:
         """Distinct real roots of G(alpha, s)."""
-        return (self._variations(lambda S: _sign_at_infinity(S, alpha, -1))
-                - self._variations(lambda S: _sign_at_infinity(S, alpha, 1)))
-
-    def _variations(self, sign) -> int:
-        return sign_variations([sign(self[j]) for j in range(self.p, -1, -1)])
+        entries = [self[j] for j in range(self.p, -1, -1)]
+        return (sign_variations([_sign_at_infinity(S, alpha, -1) for S in entries])
+                - sign_variations([_sign_at_infinity(S, alpha, 1) for S in entries]))
 
 
 def _sign_at_infinity(S: SPoly, alpha, direction: int) -> int:

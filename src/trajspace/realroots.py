@@ -258,15 +258,17 @@ class AlgebraicNumber:
 
         Each q is tested on its own by its ``_poly_range`` over [a, b].  An
         irrational alpha is refined until its interval serves; a rational
-        one gives a, b = alpha -+ d, halving d.
+        one gives a, b = alpha -+ d, halving d.  If refining finds alpha
+        rational, [a, b] stays inside its last isolating interval.
         """
         d = None
         for _ in range(REFINE_BUDGET):
             if self.is_rational:
-                d = min(self.lo - lo, hi - self.lo) / 2 if d is None else d / 2
+                d = min(self.lo - lo, hi - self.lo, d or hi - lo) / 2
                 a, b = self.lo - d, self.lo + d
             else:
                 a, b = self.lo, self.hi
+                d = b - a
             if lo < a and b < hi and all(r[0] > 0 or r[1] < 0
                                          for r in (_poly_range(q, a, b) for q in qs)):
                 return a, b
@@ -274,12 +276,9 @@ class AlgebraicNumber:
         raise RuntimeError("no interval clear of the polynomials' roots")
 
     def equals(self, other: "AlgebraicNumber") -> bool:
-        if self.is_rational and other.is_rational:
-            return self.lo == other.lo
-        if self.is_rational:
-            return other.sign_of(zp([-self.lo.numerator, self.lo.denominator])) == 0
-        if other.is_rational:
-            return self.sign_of(zp([-other.lo.numerator, other.lo.denominator])) == 0
+        if self.is_rational or other.is_rational:
+            r, x = (self, other) if self.is_rational else (other, self)
+            return x.sign_of(self.from_rational(r.lo).poly) == 0
         g = zp_gcd(self.poly, other.poly)
         if zp_degree(g) < 1:
             return False

@@ -87,8 +87,7 @@ def _marching_segments(G, L, bbox, n=160):
 
 def _num(v: float) -> str:
     """v to two decimals, never as negative zero."""
-    s = f"{v:.2f}"
-    return "0.00" if s == "-0.00" else s
+    return f"{round(v, 2) + 0.0:.2f}"
 
 
 class _Canvas:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import geometry
 from .bivar import substitute_line_family
 from .events import DegenerateScene, ParamEvent, component_events
-from .polys import zp_degree, zp_sign_at, zp_squarefree_part
+from .polys import zp_degree, zp_divexact, zp_gcd, zp_sign_at, zp_squarefree_part
 from .realroots import (
     REFINE_BUDGET,
     AlgebraicNumber,
@@ -233,12 +233,13 @@ def _resolve_event(G, radial: bool, ev: ParamEvent, left_cell: _Cell, right_cell
     crossings, and the excision index j of the pair born at the event.
 
     Dyadic r_lo < s* < r_hi and probes a < alpha < b in the adjacent cells
-    are certified so that on [a, b] G_K keeps its s-degree and has no root
-    at s = r_lo, r_hi or (radial) 0.  Any other root of G_K(alpha, .) in
-    (r_lo, r_hi) is simple and persists on both sides, so one Sturm count
-    per probe decides: if the poorer side has no crossing there, s* is alone
-    in it, and j counts the crossings at or below r_lo on either side.
-    Otherwise the window shrinks.
+    are certified so that on [a, b] G_K has no root at s = r_lo, r_hi or
+    (radial) 0, and keeps its s-degree except perhaps at alpha.  Any other
+    root of G_K(alpha, .) in (r_lo, r_hi) is simple and persists on both
+    sides, so one Sturm count per probe decides: if the poorer side has no
+    crossing there, s* is alone in it, and j counts the crossings at or
+    below r_lo on either side.  Otherwise the window shrinks.  The count
+    checks would see a crossing escape to infinity at alpha.
     """
     K = ev.component
     nl, nr = len(left_cell.comp_roots[K]), len(right_cell.comp_roots[K])
@@ -252,7 +253,11 @@ def _resolve_event(G, radial: bool, ev: ParamEvent, left_cell: _Cell, right_cell
     alpha, GK = ev.alpha, G[K]
     lead = GK.coeffs[-1]
     if alpha.sign_of(lead) == 0:
-        raise MatchingAmbiguous(f"leading coefficient vanishes at the {_name(ev)}")
+        # lc_K divides Res_s(G_K, dG_K/ds), so its roots are roots of alpha's
+        # defining polynomial p, and [a, b] holds no root of p but alpha
+        p = AlgebraicNumber.from_rational(alpha.lo).poly if alpha.is_rational else alpha.poly
+        while zp_degree(g := zp_gcd(lead, p)) >= 1:
+            lead = zp_divexact(lead, g)
     width = Fraction(1, 4)
     for _ in range(WINDOW_SHRINKS):
         # widen the s* bounds by width/2 to width, to multiples of width/2
@@ -438,10 +443,8 @@ def _edge_intervals(cells, members):
     spans = {}
     for ci, _ in members:
         cell = cells[ci]
-        lo, hi = float(cell.lo), float(cell.hi)
-        if cell.chart in spans:
-            lo, hi = min(spans[cell.chart][0], lo), max(spans[cell.chart][1], hi)
-        spans[cell.chart] = (lo, hi)
+        lo, hi = spans.get(cell.chart, (float(cell.lo), float(cell.hi)))
+        spans[cell.chart] = (min(lo, float(cell.lo)), max(hi, float(cell.hi)))
     return [(c, lo, hi) for c, (lo, hi) in sorted(spans.items())]
 
 

@@ -483,19 +483,33 @@ def test_window_shrinks_when_the_event_line_meets_the_component_again(monkeypatc
     assert homology.cw_complex_of_double(table).betti_numbers() == [1, 2 * h, 1]
 
 
-def test_leading_coefficient_vanishing_at_an_event_is_named():
-    # (x - 1)^2 y^4 + y^2 + x^2 - 1 along vertical lines: the s-leading
-    # coefficient (x - 1)^2 vanishes at the tangency x = 1, where no window
-    # certificate exists; the event is named instead of refined forever
+@pytest.mark.parametrize("coeffs, bbox, rational_alpha", [
+    # (x - 1)^2 y^4 + y^2 + x^2 - 1: alpha = 1 keeps an isolating interval
+    ([[2, 4, 1, 1], [1, 4, -2, 1], [0, 4, 1, 1], [0, 2, 1, 1], [2, 0, 1, 1],
+      [0, 0, -1, 1]], [[-2, 1], [2, 1], [-2, 1], [2, 1]], False),
+    # x^2 y^4 + y^2 + x^2 + 2x: root isolation lands on alpha = 0 exactly
+    ([[2, 4, 1, 1], [0, 2, 1, 1], [2, 0, 1, 1], [1, 0, 2, 1]],
+     [[-3, 1], [1, 1], [-2, 1], [2, 1]], True),
+], ids=["isolated_alpha", "rational_alpha"])
+def test_event_where_the_leading_coefficient_vanishes(coeffs, bbox, rational_alpha):
+    # along vertical lines the s-leading coefficient vanishes at one tangency,
+    # where G_K(alpha, .) = y^2 drops degree; the sweep certifies the rest of
+    # the leading coefficient and resolves the event as before
+    from trajspace import homology, strata, validate
     scene = parse_scene({
         "field": {"kind": "constant", "direction": [[0, 1], [1, 1]]},
-        "outer": {"curve": {"type": "polynomial", "coeffs":
-                  [[2, 4, 1, 1], [1, 4, -2, 1], [0, 4, 1, 1], [0, 2, 1, 1],
-                   [2, 0, 1, 1], [0, 0, -1, 1]]}, "inside_sign": 1},
-        "holes": [], "bbox": [[-2, 1], [2, 1], [-2, 1], [2, 1]]}, name="lcevent")
-    with pytest.raises(sweep.MatchingAmbiguous,
-                       match="leading coefficient vanishes at the event of component 0 at 1"):
-        sweep.build_trajectory_space(scene)
+        "outer": {"curve": {"type": "polynomial", "coeffs": coeffs}, "inside_sign": 1},
+        "holes": [], "bbox": bbox}, name="lcevent")
+    assert validate.validate_scene(scene).ok
+    lead = scene.components[0].curve.coeffs[-1]
+    vanishing = [e for e in sweep.tangency_events(scene) if e.alpha.sign_of(lead) == 0]
+    assert [e.alpha.is_rational for e in vanishing] == [rational_alpha]
+    g = sweep.build_trajectory_space(scene)
+    assert g.pattern_counts() == {(2,): 2, (1, 2, 1): 0}
+    assert (g.vertex_count, g.edge_count) == (2, 1)
+    assert all(v.event.point[1] == 0 for v in g.vertices)
+    double = homology.cw_complex_of_double(strata.build_strata(g, scene))
+    assert double.betti_numbers() == [1, 0, 1]
 
 
 def test_radial_events_match_closed_form_angles(annulus3):
