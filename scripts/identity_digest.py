@@ -13,12 +13,13 @@ scene with eight small holes under the field (3, 7), whose sweep meets 16
 merge/split (121) and 2 birth/death (2) events; `holes_doc` builds it in
 memory from its formula.  The deg10 line covers the stress scene
 x^10 + y^10 + x^7 y^3 / 7 - 30 under (3, 7) in the box +-4, built by
-`deg_doc`.  The rejected line covers the reports of seven
+`deg_doc`.  The rejected line covers the reports of eight
 scenes built in memory that fail validation (`REJECTED_SCENES`: a curve
-that meets the frame, a curve wholly outside the box, a hole outside the
-outer curve, nested holes, overlapping holes, the nodal quartic and a
-radial centre in X), so it pins the bbox, hole, field and singularity
-checks' failure reports.  The last three lines cover the
+that meets the frame, a curve through the frame's four corners, a curve
+wholly outside the box, a hole outside the outer curve, nested holes,
+overlapping holes, the nodal quartic and a radial centre in X), so it pins
+the bbox, hole, field and singularity checks' failure reports, and the
+bbox check's closed edge ends.  The last three lines cover the
 oracle's observed pattern sets for all 30 patterns of norm <= 8 (200
 samples, seed 0), which depend on root counting but on no scene.  At
 magnitude 1/1000 every sample passes the window certificate of
@@ -72,6 +73,9 @@ def _scene(outer, holes, bound, field=((3, 1), (7, 1))):
 _ORIGIN = ([0, 1], [0, 1])
 REJECTED_SCENES = {
     "frame": _scene(_circle(*_ORIGIN, [5, 2], 1), [], 2),
+    # x^2 + y^2 - 8 meets the frame only at its corners (+-2, +-2)
+    "frame_corners": _scene({"curve": {"type": "polynomial", "coeffs": [
+        [2, 0, 1, 1], [0, 2, 1, 1], [0, 0, -8, 1]]}, "inside_sign": 1}, [], 2),
     "outside": _scene(_circle([10, 1], [1, 2], [1, 1], 1), [], 4),
     "hole_outside": _scene(_circle(*_ORIGIN, [2, 1], 1),
                            [_circle([8, 1], [0, 1], [1, 2], -1)], 10),

@@ -1,22 +1,24 @@
 """Exact real-root isolation and real algebraic numbers.
 
-Sturm chains are primitive polynomial remainder sequences over ZZ: each
-entry is minus the primitive part of a pseudo-remainder with a positive
-scale (``polys.zp_prem``), so it has the signs of the Sturm remainder over
-QQ everywhere.  They drive isolation and interval refinement, and they
-count: ``real_root_multiplicities`` reads the number of real roots of a
-square-free polynomial from the chain's signs at -inf and +inf alone.
+Every question about real roots has one answer here:
+- how many: Sturm chains, primitive remainder sequences over ZZ whose
+  entries have the signs of the Sturm remainders over QQ (``zp_prem``).
+  ``real_root_multiplicities`` counts a square-free polynomial's roots from
+  the chain's signs at -inf and +inf, and ``window_counts`` counts them in
+  total, at or below one cut and strictly between two;
+- where: ``isolate_real_roots`` bisects to isolating intervals;
+- how close: ``AlgebraicNumber.refine`` is the one bisection of an
+  isolating interval, and ``refine_below`` only works out its step count;
+- which sign: ``AlgebraicNumber.sign_of`` gives the exact sign of another
+  polynomial at an algebraic number (a square-free defining polynomial plus
+  an isolating interval).  Everything else about such numbers reduces to
+  it, including the questions about polynomials over QQ(alpha) that
+  ``bivar.SturmHabicht`` puts.
+
 Every sign at a rational point is the sign of a homogeneous integer value
-(``polys.zp_eval_hom``): Sturm variations, the interval bounds of
-``_poly_range``, and the bisections of ``isolate_real_roots`` and
-``AlgebraicNumber.refine_below``, which keep their endpoints as integer
-numerators over the denominator D * 2**k at depth k.  Fractions are built
-only for the intervals handed out.  An
-algebraic number is a square-free defining polynomial plus an isolating
-interval; the only primitive everything else reduces to is
-``AlgebraicNumber.sign_of``: the exact sign of another polynomial at the
-number.  Questions about polynomials with coefficients in QQ(alpha) are
-put as such signs by ``bivar.SturmHabicht``.
+(``polys.zp_eval_hom``); the bisections keep their ends as integer
+numerators over the denominator D * 2**k at depth k, and build Fractions
+only for the intervals handed out.
 """
 
 from __future__ import annotations
@@ -80,6 +82,22 @@ def sturm_variations_at_inf(chain, direction: int) -> int:
 def count_roots(chain, lo: Fraction, hi: Fraction) -> int:
     """Number of real roots in (lo, hi]."""
     return sturm_variations_at(chain, lo) - sturm_variations_at(chain, hi)
+
+
+def window_counts(p: ZP, r_lo: Fraction, r_hi: Fraction, lower: Fraction = None):
+    """Distinct real roots of p, counted with one Sturm chain of its
+    square-free part: (all of them, those at or below r_lo, those strictly
+    between r_lo and r_hi).  Given ``lower`` < r_lo, each count takes only
+    the roots above it."""
+    p = zp_squarefree_part(p)
+    if zp_degree(p) < 1:
+        return 0, 0, 0
+    chain = sturm_chain(p)
+    start = sturm_variations_at_inf(chain, -1) if lower is None else sturm_variations_at(chain, lower)
+    v_lo, v_hi = sturm_variations_at(chain, r_lo), sturm_variations_at(chain, r_hi)
+    # the chain counts (r_lo, r_hi]; a root at r_hi is not inside the window
+    inside = v_lo - v_hi - (zp_sign_at(p, r_hi) == 0)
+    return start - sturm_variations_at_inf(chain, 1), start - v_lo, inside
 
 
 def root_bound(p: ZP) -> Fraction:
@@ -174,38 +192,22 @@ class AlgebraicNumber:
         return self.lo == self.hi
 
     def refine(self, steps: int = 1) -> None:
-        for _ in range(steps):
-            if self.is_rational:
-                return
-            if self._lo_sign is None:
-                self._lo_sign = zp_sign_at(self.poly, self.lo)
-            mid = (self.lo + self.hi) / 2
-            s = zp_sign_at(self.poly, mid)
-            if s == 0:
-                self.lo = self.hi = mid
-                return
-            if self._lo_sign * s < 0:
-                self.hi = mid
-            else:
-                self.lo, self._lo_sign = mid, s
+        """Bisect the isolating interval ``steps`` times, or until a midpoint
+        is the number itself.
 
-    def refine_below(self, width: Fraction) -> None:
-        """Refine until the interval is narrower than ``width``.
-
-        Takes exactly the steps, midpoints and signs of repeated ``refine``,
-        bisecting integer numerators over one common denominator that
-        doubles with every step; Fractions are built only at the end.
+        The ends are integer numerators over one common denominator that
+        doubles with every step, and each step signs only its midpoint;
+        Fractions are built at the end.
         """
-        if self.is_rational:
+        if self.is_rational or steps < 1:
             return
-        w = Fraction(width)
         den = lcm(self.lo.denominator, self.hi.denominator)
         lo = self.lo.numerator * (den // self.lo.denominator)
         hi = self.hi.numerator * (den // self.hi.denominator)
         lo_sign = self._lo_sign
-        while (hi - lo) * w.denominator >= w.numerator * den:
-            if lo_sign is None:
-                lo_sign = zp_sign_at(self.poly, self.lo)
+        if lo_sign is None:
+            lo_sign = zp_sign_at(self.poly, self.lo)
+        for _ in range(steps):
             mid, den = lo + hi, den << 1
             lo, hi = lo << 1, hi << 1
             v = zp_eval_hom(self.poly, mid, den)
@@ -218,14 +220,22 @@ class AlgebraicNumber:
                 lo, lo_sign = mid, (v > 0) - (v < 0)
         self.lo, self.hi, self._lo_sign = Fraction(lo, den), Fraction(hi, den), lo_sign
 
+    def refine_below(self, width: Fraction) -> None:
+        """Refine until the interval is narrower than ``width``: each step
+        halves it, so (hi - lo) // width has as many bits as steps needed."""
+        if not self.is_rational:
+            self.refine(((self.hi - self.lo) // width).bit_length())
+
     def sign_of(self, q: ZP) -> int:
         """Exact sign of q(alpha).
 
-        q is first reduced modulo the defining polynomial.  A range of q over
-        the isolating interval, bisected up to 32 times, then decides any
-        sign that is not too close to 0; only what remains pays for the gcd
-        with the defining polynomial (q(alpha) = 0 exactly) and a Sturm
-        chain of q (refining until no root of q is left in the interval).
+        q is reduced modulo the defining polynomial p, and the interval is
+        bisected until a range of q over it excludes 0.  The range shrinks
+        to q(alpha), so this decides every nonzero sign.  If the sign is
+        still open after 32 steps, one gcd test asks whether q(alpha) = 0:
+        g = gcd(p, q) is square-free, and the interval holds no root of p
+        but alpha and has no root of p at its ends, so g(alpha) = 0 exactly
+        when g changes sign across the interval.
         """
         if not q:
             return 0
@@ -235,21 +245,17 @@ class AlgebraicNumber:
             q = zp_primitive(zp_prem(q, self.poly))
             if not q:
                 return 0
-        for _ in range(32):
+        for step in range(REFINE_BUDGET):
             lo, hi = _poly_range(q, self.lo, self.hi)[:2]
             if lo > 0 or hi < 0:
                 return 1 if lo > 0 else -1
+            if step == 32:
+                g = zp_gcd(self.poly, q)
+                if zp_degree(g) >= 1 and zp_sign_at(g, self.lo) * zp_sign_at(g, self.hi) < 0:
+                    return 0
             self.refine()
             if self.is_rational:
                 return zp_sign_at(q, self.lo)
-        g = zp_gcd(self.poly, q)
-        if zp_degree(g) >= 1 and count_roots(sturm_chain(g), self.lo, self.hi) > 0:
-            return 0
-        qchain = sturm_chain(zp_squarefree_part(q))
-        for _ in range(REFINE_BUDGET):
-            if count_roots(qchain, self.lo, self.hi) == 0:
-                return zp_sign_at(q, (self.lo + self.hi) / 2)
-            self.refine()
         raise RuntimeError("sign test did not converge")
 
     def nonvanishing_interval(self, qs, lo: Fraction, hi: Fraction):

@@ -26,15 +26,13 @@ from fractions import Fraction
 from . import geometry
 from .bivar import substitute_line_family
 from .events import DegenerateScene, ParamEvent, component_events
-from .polys import zp_degree, zp_divexact, zp_gcd, zp_sign_at, zp_squarefree_part
+from .polys import zp_degree, zp_divexact, zp_gcd, zp_sign_at
 from .realroots import (
     REFINE_BUDGET,
     AlgebraicNumber,
     real_roots_with_multiplicities,
     separate,
-    sturm_chain,
-    sturm_variations_at,
-    sturm_variations_at_inf,
+    window_counts,
 )
 
 
@@ -68,8 +66,6 @@ class Vertex:
     pattern: tuple                # (2,) or (1, 2, 1)
     event: TangencyEvent
     tangent_component: int
-    entry_component: int = None   # (121) only
-    exit_component: int = None    # (121) only
 
 
 @dataclass
@@ -212,22 +208,6 @@ def _sample_cell(scene, spolys, chart, q, lo: Fraction, hi: Fraction) -> _Cell:
 
 # --- event-boundary matching -------------------------------------------------
 
-def _window_counts(p, radial: bool, r_lo: Fraction, r_hi: Fraction):
-    """Distinct real roots of a sample line's crossing polynomial, counted
-    with one Sturm chain of its square-free part: (all of them, those at or
-    below r_lo, those strictly between r_lo and r_hi).  Radial lines count
-    only s > 0, and need 0 < r_lo; ``p`` is the ZP G(c, .)."""
-    p = zp_squarefree_part(p)
-    if zp_degree(p) < 1:
-        return 0, 0, 0
-    chain = sturm_chain(p)
-    start = sturm_variations_at(chain, Fraction(0)) if radial else sturm_variations_at_inf(chain, -1)
-    v_lo, v_hi = sturm_variations_at(chain, r_lo), sturm_variations_at(chain, r_hi)
-    # the chain counts (r_lo, r_hi]; a root at r_hi is not inside the window
-    inside = v_lo - v_hi - (zp_sign_at(p, r_hi) == 0)
-    return start - sturm_variations_at_inf(chain, 1), start - v_lo, inside
-
-
 def _resolve_event(G, radial: bool, ev: ParamEvent, left_cell: _Cell, right_cell: _Cell):
     """(richer_is_left, j): which cell has component K's two extra
     crossings, and the excision index j of the pair born at the event.
@@ -258,7 +238,7 @@ def _resolve_event(G, radial: bool, ev: ParamEvent, left_cell: _Cell, right_cell
         p = AlgebraicNumber.from_rational(alpha.lo).poly if alpha.is_rational else alpha.poly
         while zp_degree(g := zp_gcd(lead, p)) >= 1:
             lead = zp_divexact(lead, g)
-    width = Fraction(1, 4)
+    width, lower = Fraction(1, 4), Fraction(0) if radial else None
     for _ in range(WINDOW_SHRINKS):
         # widen the s* bounds by width/2 to width, to multiples of width/2
         s_lo, s_hi = ev.s_star_interval(width)
@@ -270,9 +250,9 @@ def _resolve_event(G, radial: bool, ev: ParamEvent, left_cell: _Cell, right_cell
             a, b = alpha.nonvanishing_interval([lead] + factors,
                                                left_cell.sample, right_cell.sample)
             rich_c, poor_c = (a, b) if richer_is_left else (b, a)
-            poor_n, poor_j, poor_in = _window_counts(GK.at_param(poor_c), radial, r_lo, r_hi)
+            poor_n, poor_j, poor_in = window_counts(GK.at_param(poor_c), r_lo, r_hi, lower)
             if poor_in == 0:
-                rich_n, j, rich_in = _window_counts(GK.at_param(rich_c), radial, r_lo, r_hi)
+                rich_n, j, rich_in = window_counts(GK.at_param(rich_c), r_lo, r_hi, lower)
                 if (rich_n, poor_n, rich_in, poor_j) != (max(nl, nr), min(nl, nr), 2, j):
                     raise MatchingAmbiguous(f"crossing counts disagree at the {_name(ev)}")
                 return richer_is_left, j
@@ -515,7 +495,7 @@ def _apply_event(uf, cells, i, k, ev, richer_is_left, j, vid, attach, scene, q):
         if t_ab is None:
             raise MatchingAmbiguous("merged trajectory missing after a merge/split event")
         matched.add(t_ab)
-        vx = Vertex(vid, pattern, event_rec, K, entry_component=a[1][0], exit_component=b[1][0])
+        vx = Vertex(vid, pattern, event_rec, K)
         attach += [((rich_i, a[0]), vx, "A", richer_is_left),
                    ((rich_i, b[0]), vx, "B", richer_is_left),
                    ((poor_i, t_ab), vx, "AB", not richer_is_left)]

@@ -21,10 +21,15 @@ x = x0, x1 (``SPoly.at_param``) and at y = y0, y1 (``SPoly.at_s``).
 Each call of ``validate_scene`` analyses every component along the pencil
 once (``_VerticalAnalysis``: the square-free resultant Res_s(G, G_s), its
 isolating intervals and the signed subresultant sequence) and hands that
-analysis to every check that needs it.  The analysis lives only as long as
-the call.  Each consumer builds its own algebraic numbers from the stored
-intervals: refining a number is visible in the floats and witnesses
-reported later, so a number refined by one check must not reach another.
+analysis to every check that needs it.  It also picks one probe line per
+component (``_curve_point``: a rational x and the curve's y-roots there),
+which the bbox check, the hole witness and the interior point share.  Both
+live only as long as the call.  Each consumer of the analysis builds its
+own algebraic numbers from the stored intervals: refining a number is
+visible in the floats and witnesses reported later, so a number refined by
+one check must not reach another.  The bbox check refines nothing: it
+counts roots on the frame edges and the probe line with
+``realroots.window_counts``, and tests the edge ends exactly.
 """
 
 from __future__ import annotations
@@ -34,12 +39,13 @@ from fractions import Fraction
 
 from .bivar import SturmHabicht, gcd_at, sylvester_resultant
 from .events import multiple_root_params
-from .polys import zp_degree, zp_squarefree_part
+from .polys import zp_sign_at, zp_squarefree_part
 from .realroots import (
     AlgebraicNumber,
     isolate_real_roots,
     real_roots_with_multiplicities,
     separate,
+    window_counts,
 )
 
 
@@ -166,7 +172,7 @@ def _probe_values(xs, scene):
     return probes
 
 
-def _check_bbox(comp, va, scene, report):
+def _check_bbox(comp, va, point, scene, report):
     x0, x1, y0, y1 = scene.bbox
     G = va.G
     # the curve on each frame edge, in y on the left and right, in x below and above
@@ -176,29 +182,23 @@ def _check_bbox(comp, va, scene, report):
         if not p:
             report.add(f"bbox[{comp.name}]", False, "BBOX: curve contains a frame edge")
             return
-        if zp_degree(p) >= 1:
-            sf = zp_squarefree_part(p)
-            for rlo, rhi in isolate_real_roots(sf):
-                a = AlgebraicNumber(sf, rlo, rhi)
-                if a.compare_rational(lo) >= 0 and a.compare_rational(hi) <= 0:
-                    report.add(f"bbox[{comp.name}]", False,
-                               "BBOX: curve meets the bounding box frame")
-                    return
-    px_, roots = _curve_point(va, scene)
-    if px_ is None:
+        if zp_sign_at(p, lo) == 0 or zp_sign_at(p, hi) == 0 or window_counts(p, lo, hi)[2]:
+            report.add(f"bbox[{comp.name}]", False, "BBOX: curve meets the bounding box frame")
+            return
+    px = point[0]
+    if px is None:
         report.add(f"bbox[{comp.name}]", False, "BBOX: no real curve point found")
         return
-    inside = x0 < px_ < x1 and all(
-        r.compare_rational(y0) > 0 and r.compare_rational(y1) < 0 for r in roots)
-    report.add(f"bbox[{comp.name}]", bool(inside),
+    # inside when every crossing of the probe line lies strictly in (y0, y1)
+    total, _, between = window_counts(G.at_param(px), y0, y1)
+    inside = x0 < px < x1 and total == between
+    report.add(f"bbox[{comp.name}]", inside,
                "" if inside else "BBOX: curve has points outside the bounding box")
 
 
-def _hole_witness(hole, va, scene):
+def _hole_witness(hole, point):
     """A rational point strictly inside the hole disk {sign*F > 0 side}."""
-    px, roots = _curve_point(va, scene)
-    if px is None:
-        return None
+    px, roots = point
     # between consecutive curve points, look for the hole's excluded side
     for i in range(len(roots) - 1):
         mid = (roots[i].hi + roots[i + 1].lo) / 2  # disjoint and sorted
@@ -211,15 +211,16 @@ def validate_scene(scene) -> ValidationReport:
     report = ValidationReport()
     comps = scene.components
     vertical = [_VerticalAnalysis(comp) for comp in comps]
-    for comp, va in zip(comps, vertical):
+    points = [_curve_point(va, scene) for va in vertical]
+    for comp, va, point in zip(comps, vertical, points):
         _check_smooth(comp, va, report)
-        _check_bbox(comp, va, scene, report)
+        _check_bbox(comp, va, point, scene, report)
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
             _check_disjoint(vertical[i], vertical[j], comps[i].name, comps[j].name, report)
 
-    for hole, va in zip(scene.holes, vertical[1:]):  # components = [outer] + holes
-        w = _hole_witness(hole, va, scene)
+    for hole, point in zip(scene.holes, points[1:]):  # components = [outer] + holes
+        w = _hole_witness(hole, point)
         if w is None:
             report.add(f"hole_inside[{hole.name}]", False,
                        "HOLE_OUTSIDE: no interior witness for the hole")
@@ -251,7 +252,7 @@ def validate_scene(scene) -> ValidationReport:
         report.add("field_nonvanishing", not bad,
                    "" if not bad else "FIELD_VANISHES: radial center lies in X")
 
-    witness = _interior_point(scene, vertical)
+    witness = _interior_point(scene, vertical, points[0][0])
     report.add("region_nonempty", witness is not None,
                "" if witness else "EMPTY: found no interior point of X")
     if witness:
@@ -259,19 +260,14 @@ def validate_scene(scene) -> ValidationReport:
     return report
 
 
-def interior_point(scene):
+def _interior_point(scene, vertical, px):
     """Some rational point strictly inside X, or None.
 
-    Probes vertical lines derived from the outer curve's tangency spread and
-    tests the midpoints between consecutive boundary crossings of ALL
-    components on each line.
+    Probes the outer curve's point line x = px (None if there is none) and
+    vertical lines between its tangency parameters, and tests the midpoints
+    between consecutive boundary crossings of ALL components on each line;
+    ``vertical`` holds the analyses of scene.components.
     """
-    return _interior_point(scene, [_VerticalAnalysis(comp) for comp in scene.components])
-
-
-def _interior_point(scene, vertical):
-    """``interior_point`` given the vertical analyses of scene.components."""
-    px, _ = _curve_point(vertical[0], scene)
     probes = []
     if px is not None:
         probes.append(px)

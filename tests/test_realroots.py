@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from trajspace.realroots import (
     separate,
     sturm_chain,
     count_roots,
+    window_counts,
 )
 
 from conftest import cleared, zp_pow
@@ -149,8 +151,10 @@ def test_refine_evaluates_once_per_step(monkeypatch):
     alpha = AlgebraicNumber(zp([-2, 0, 1]), Fraction(1), Fraction(2))
     ref_lo, ref_hi = Fraction(1), Fraction(2)
     calls = []
-    sign_at = realroots.zp_sign_at
+    sign_at, eval_hom = realroots.zp_sign_at, realroots.zp_eval_hom
     monkeypatch.setattr(realroots, "zp_sign_at", lambda p, x: calls.append(x) or sign_at(p, x))
+    monkeypatch.setattr(realroots, "zp_eval_hom",
+                        lambda p, n, d: calls.append(n) or eval_hom(p, n, d))
     alpha.refine(40)
     for _ in range(40):  # the bisection that signs both ends every step
         mid = (ref_lo + ref_hi) / 2
@@ -255,6 +259,23 @@ def test_sign_of_has_a_budget(monkeypatch):
     _no_refine(monkeypatch)
     with pytest.raises(RuntimeError):
         sqrt2.sign_of(zp([-3, 2]))  # 2u - 3 has its root inside (1, 2)
+
+
+def test_sign_of_settles_what_the_range_leaves_open(monkeypatch):
+    # sqrt 2 defined by (x^2 - 2)(x^2 - 3): x^2 - 2 is no multiple of the
+    # defining polynomial, so only the gcd test shows that it vanishes
+    p = zp_mul(zp([-2, 0, 1]), zp([-3, 0, 1]))
+    assert AlgebraicNumber(p, Fraction(1), Fraction(3, 2)).sign_of(zp([-2, 0, 1])) == 0
+    # 2^45 x - m has its root within 2^-45 of sqrt 2, so the range needs more
+    # than 32 bisections; q(sqrt 2) > 0 exactly when 2^91 > m^2
+    steps, refine = [], AlgebraicNumber.refine
+    monkeypatch.setattr(AlgebraicNumber, "refine",
+                        lambda self, n=1: steps.append(n) or refine(self, n))
+    for m in (math.isqrt(2**91), math.isqrt(2**91) + 1):
+        steps.clear()
+        sqrt2 = AlgebraicNumber(p, Fraction(1), Fraction(3, 2))
+        assert sqrt2.sign_of(zp([-m, 2**45])) == (1 if 2**91 > m * m else -1)
+        assert sum(steps) > 32
 
 
 def test_ratio_interval_has_a_budget(monkeypatch):
@@ -483,3 +504,45 @@ def test_subresultant_signs_match_sympy(case):
     sqf = sp.quo(g, gcd)
     roots = [r for r in sp.Poly(sqf, s).nroots(n=40) if abs(sp.im(r)) < 1e-25]
     assert seq.real_root_count(alpha) == len(roots)
+
+
+# --- window counts by Sturm chains vs. isolation ----------------------------
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+def _isolated_window_counts(p, r_lo, r_hi, lower):
+    """Reference: isolate every root, then compare each with the cuts."""
+    if not p:
+        return 0, 0, 0
+    roots = [r for r, _ in real_roots_with_multiplicities(p)
+             if lower is None or r.compare_rational(lower) > 0]
+    below = sum(1 for r in roots if r.compare_rational(r_lo) <= 0)
+    inside = sum(1 for r in roots
+                 if r.compare_rational(r_lo) > 0 and r.compare_rational(r_hi) < 0)
+    return len(roots), below, inside
+
+
+@st.composite
+def window_cases(draw):
+    """A polynomial with repeated rational and quadratic factors, and cuts
+    lower < r_lo < r_hi that often sit exactly on one of its roots; half
+    the cases have no lower end."""
+    roots = draw(st.lists(small_rationals, max_size=4))
+    p = (draw(small_rationals.filter(bool)),)
+    for r in roots:
+        p = zp_mul(p, zp_pow((-r, Fraction(1)), draw(st.integers(1, 3))))
+    for k in draw(st.lists(st.integers(-3, 6), max_size=2)):    # s^2 - k
+        p = zp_mul(p, zp_pow((Fraction(-k), 0, Fraction(1)), draw(st.integers(1, 2))))
+    ends = st.one_of(st.sampled_from(roots), small_rationals) if roots else small_rationals
+    lower, r_lo, r_hi = sorted(draw(st.lists(ends, min_size=3, max_size=3, unique=True)))
+    return cleared(p), r_lo, r_hi, lower if draw(st.booleans()) else None
+
+
+@given(window_cases())
+@example(((2, -3, 1), Fraction(0), Fraction(2), None))            # r_hi is a root
+@example(((0, 1, 1), Fraction(1, 2), Fraction(3), Fraction(0)))   # roots 0 and -1 not above lower
+@example(((), Fraction(-1), Fraction(1), None))                   # p == 0
+@settings(max_examples=200, deadline=None)
+def test_window_counts_match_isolation(case):
+    assert window_counts(*case) == _isolated_window_counts(*case)

@@ -4,10 +4,9 @@ import pytest
 
 from trajspace import geometry, sweep
 from trajspace.events import DegenerateScene
-from trajspace.polys import zp_mul
-from trajspace.realroots import AlgebraicNumber, real_roots_with_multiplicities
+from trajspace.realroots import AlgebraicNumber
 
-from conftest import FIXTURES, GENERIC_FIXTURES, TWO_OVALS, cleared, load_fixture, zp_pow
+from conftest import FIXTURES, GENERIC_FIXTURES, TWO_OVALS, cleared, load_fixture
 
 
 def test_disk_events():
@@ -207,7 +206,7 @@ def test_vertexless_radial_loop():
     assert g.edge_count == 1
     assert g.edges[0].is_loop
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from trajspace.geometry import parse_scene
 
 
@@ -408,9 +407,9 @@ def test_circle_events_match_closed_form():
 
 
 def counting_window_counts(monkeypatch):
-    """Record every ``sweep._window_counts`` result."""
-    calls, orig = [], sweep._window_counts
-    monkeypatch.setattr(sweep, "_window_counts", lambda *a: calls.append(orig(*a)) or calls[-1])
+    """Record every ``window_counts`` result the sweep gets."""
+    calls, orig = [], sweep.window_counts
+    monkeypatch.setattr(sweep, "window_counts", lambda *a: calls.append(orig(*a)) or calls[-1])
     return calls
 
 
@@ -534,50 +533,3 @@ def test_radial_events_match_closed_form_angles(annulus3):
 def test_loop_euler_characteristic():
     g = sweep.build_trajectory_space(load_fixture("annulus0.json"))
     assert g.euler_characteristic() == 0      # a circle
-
-
-# --- window counts by Sturm chains vs. isolation ----------------------------
-
-small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
-
-
-def _isolated_window_counts(p, radial, r_lo, r_hi):
-    """Reference: isolate every root, then compare each with 0, r_lo, r_hi."""
-    if not p:
-        return 0, 0, 0
-    roots = [r for r, _ in real_roots_with_multiplicities(p)
-             if not radial or r.compare_rational(Fraction(0)) > 0]
-    below = sum(1 for r in roots if r.compare_rational(r_lo) <= 0)
-    inside = sum(1 for r in roots
-                 if r.compare_rational(r_lo) > 0 and r.compare_rational(r_hi) < 0)
-    return len(roots), below, inside
-
-
-@st.composite
-def window_cases(draw):
-    """A polynomial with repeated rational and quadratic factors, and a
-    window whose ends often sit exactly on one of its roots; radial cases
-    keep 0 < r_lo but may have roots at 0 or below."""
-    roots = draw(st.lists(small_rationals, max_size=4))
-    p = (draw(small_rationals.filter(bool)),)
-    for r in roots:
-        p = zp_mul(p, zp_pow((-r, Fraction(1)), draw(st.integers(1, 3))))
-    for k in draw(st.lists(st.integers(-3, 6), max_size=2)):    # s^2 - k
-        p = zp_mul(p, zp_pow((Fraction(-k), 0, Fraction(1)), draw(st.integers(1, 2))))
-    radial = draw(st.booleans())
-    pool = [r for r in roots if r > 0 or not radial]
-    value = st.builds(Fraction, st.integers(1 if radial else -6, 6), st.integers(1, 3))
-    ends = st.one_of(st.sampled_from(pool), value) if pool else value
-    r_lo, r_hi = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
-    return cleared(p), radial, r_lo, r_hi
-
-
-@given(window_cases())
-@example(((2, -3, 1), False, Fraction(0), Fraction(2)))          # r_hi is a root
-@example(((0, 1, 1), True, Fraction(1, 2), Fraction(3)))          # radial, roots 0 and -1
-@example(((), False, Fraction(-1), Fraction(1)))                  # G(c, .) == 0
-@settings(max_examples=200, deadline=None)
-def test_window_counts_match_isolation(case):
-    p, radial, r_lo, r_hi = case
-    assert (sweep._window_counts(p, radial, r_lo, r_hi)
-            == _isolated_window_counts(p, radial, r_lo, r_hi))

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from trajspace.geometry import parse_scene
-from trajspace.validate import interior_point, validate_scene
+from trajspace.validate import validate_scene
 
 from conftest import GENERIC_FIXTURES, TWO_OVALS, load_fixture
 
@@ -72,11 +74,31 @@ def test_bbox_violation_rejected():
     assert any("BBOX" in d for _, d in report.failures())
 
 
+@pytest.mark.parametrize("r2, bound, verdict", [
+    (8, 2, "meets the bounding box frame"),   # through all four corners
+    (4, 2, "meets the bounding box frame"),   # a double root on each edge
+    (8, 3, None),
+    (4, 3, None),
+])
+def test_frame_ends_are_closed(r2, bound, verdict):
+    # the circle x^2 + y^2 = r2 in the box +-bound
+    sc = parse_scene({
+        "field": VERT,
+        "outer": {"curve": {"type": "polynomial", "coeffs":
+                  [[2, 0, 1, 1], [0, 2, 1, 1], [0, 0, -r2, 1]]}, "inside_sign": 1},
+        "holes": [], "bbox": [[-bound, 1], [bound, 1], [-bound, 1], [bound, 1]]})
+    report = validate_scene(sc)
+    bbox = [(okay, detail) for name, okay, detail in report.checks if name == "bbox[outer]"]
+    if verdict is None:
+        assert bbox == [(True, "")] and report.ok, report.failures()
+    else:
+        assert bbox == [(False, f"BBOX: curve {verdict}")]
+
+
 def test_interior_point_is_inside():
     sc = load_fixture("annulus3.json")
-    pt = interior_point(sc)
-    assert pt is not None
-    assert sc.contains(*pt)
+    x, y = validate_scene(sc).witnesses["interior_point"]
+    assert sc.contains(Fraction(x), Fraction(y))
 
 def test_disjoint_product_curve_is_smooth():
     # product of two disjoint circles: a smooth quartic whose x-derivative
@@ -91,10 +113,11 @@ def test_disjoint_product_curve_is_smooth():
 
 
 def test_validation_analyses_each_component_once(monkeypatch):
-    # fig1 has 5 components: one resultant analysis per component and
-    # validate_scene call (the stored curve is already the restriction)
+    # fig1 has 5 components: one resultant analysis and one probe line per
+    # component and validate_scene call (the stored curve is already the
+    # restriction)
     from trajspace import validate
-    calls = {"multiple_root_params": 0}
+    calls = {"multiple_root_params": 0, "_curve_point": 0}
     for name in calls:
         def counted(*args, _name=name, _orig=getattr(validate, name)):
             calls[_name] += 1
@@ -103,4 +126,4 @@ def test_validation_analyses_each_component_once(monkeypatch):
     scene = load_fixture("fig1.json")
     assert len(scene.components) == 5
     assert validate_scene(scene).ok
-    assert calls == {"multiple_root_params": 5}
+    assert calls == {"multiple_root_params": 5, "_curve_point": 5}
