@@ -251,7 +251,7 @@ class AlgebraicNumber:
                 return 1 if lo > 0 else -1
             if step == 32:
                 g = zp_gcd(self.poly, q)
-                if zp_degree(g) >= 1 and zp_sign_at(g, self.lo) * zp_sign_at(g, self.hi) < 0:
+                if zp_sign_at(g, self.lo) * zp_sign_at(g, self.hi) < 0:
                     return 0
             self.refine()
             if self.is_rational:

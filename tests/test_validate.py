@@ -74,13 +74,13 @@ def test_bbox_violation_rejected():
     assert any("BBOX" in d for _, d in report.failures())
 
 
-@pytest.mark.parametrize("r2, bound, verdict", [
-    (8, 2, "meets the bounding box frame"),   # through all four corners
-    (4, 2, "meets the bounding box frame"),   # a double root on each edge
-    (8, 3, None),
-    (4, 3, None),
+@pytest.mark.parametrize("r2, bound, ok", [
+    (8, 2, False),   # through all four corners
+    (4, 2, False),   # a double root on each edge
+    (8, 3, True),
+    (4, 3, True),
 ])
-def test_frame_ends_are_closed(r2, bound, verdict):
+def test_frame_ends_are_closed(r2, bound, ok):
     # the circle x^2 + y^2 = r2 in the box +-bound
     sc = parse_scene({
         "field": VERT,
@@ -89,10 +89,8 @@ def test_frame_ends_are_closed(r2, bound, verdict):
         "holes": [], "bbox": [[-bound, 1], [bound, 1], [-bound, 1], [bound, 1]]})
     report = validate_scene(sc)
     bbox = [(okay, detail) for name, okay, detail in report.checks if name == "bbox[outer]"]
-    if verdict is None:
-        assert bbox == [(True, "")] and report.ok, report.failures()
-    else:
-        assert bbox == [(False, f"BBOX: curve {verdict}")]
+    assert bbox == [(True, "") if ok else (False, "BBOX: curve meets the bounding box frame")]
+    assert report.ok == ok, report.failures()
 
 
 def test_interior_point_is_inside():
