@@ -172,7 +172,7 @@ def _probe_values(xs, scene):
     return probes
 
 
-def _check_bbox(comp, va, point, scene, report):
+def _check_bbox(comp, va, px, scene, report):
     x0, x1, y0, y1 = scene.bbox
     G = va.G
     # the curve on each frame edge, in y on the left and right, in x below and above
@@ -185,7 +185,6 @@ def _check_bbox(comp, va, point, scene, report):
         if zp_sign_at(p, lo) == 0 or zp_sign_at(p, hi) == 0 or window_counts(p, lo, hi)[2]:
             report.add(f"bbox[{comp.name}]", False, "BBOX: curve meets the bounding box frame")
             return
-    px = point[0]
     if px is None:
         report.add(f"bbox[{comp.name}]", False, "BBOX: no real curve point found")
         return
@@ -214,7 +213,7 @@ def validate_scene(scene) -> ValidationReport:
     points = [_curve_point(va, scene) for va in vertical]
     for comp, va, point in zip(comps, vertical, points):
         _check_smooth(comp, va, report)
-        _check_bbox(comp, va, point, scene, report)
+        _check_bbox(comp, va, point[0], scene, report)
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
             _check_disjoint(vertical[i], vertical[j], comps[i].name, comps[j].name, report)
