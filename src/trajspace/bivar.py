@@ -10,9 +10,9 @@ another family by Horner's rule in ZZ[c][s]; ``SPoly.at_param`` and
 Fraction.  Subresultants w.r.t. s, the resultant among them, are
 determinants of Sylvester submatrices whose entries are ZPs in c, taken
 with Bareiss fraction-free elimination.  The signed subresultant sequence
-of G and dG/ds decides everything about G(alpha, s) at a real algebraic
-alpha (gcd degree, tangent point, number of real roots) through signs of
-integer polynomials at alpha.
+of a pair P, Q decides how P(alpha, s) and Q(alpha, s) meet at a real
+algebraic alpha (their gcd, a common real root, for Q = dP/ds the number of
+real roots of P) through signs of integer polynomials at alpha.
 """
 
 from __future__ import annotations
@@ -195,48 +195,32 @@ def _bareiss_bordered(M):
     return last if sign > 0 else [zp_neg(c) for c in last]
 
 
-def gcd_at(P: SPoly, Q: SPoly, alpha):
-    """Degree k of gcd(P(alpha, s), Q(alpha, s)), and an SPoly that
-    specialises at alpha to such a gcd.
-
-    P and Q keep their s-degrees at alpha (see ``SPoly.truncated``), and
-    deg P >= deg Q.  The gcd degree is the least j whose subresultant has a
-    principal coefficient (that of s^j) nonzero at alpha; when there is none,
-    Q divides P.
-    """
-    if Q.degree_s() < 0:
-        return P.degree_s(), P
-    for j in range(Q.degree_s()):
-        S = subresultant(P, Q, j)
-        if alpha.sign_of(S.coeff(j)) != 0:
-            return j, S
-    return Q.degree_s(), Q
-
-
 class SturmHabicht:
-    """Signed subresultant sequence of G and G_s = dG/ds in s, over ZZ[c].
+    """Signed subresultant sequence of P and Q in s over ZZ[c], deg P >= deg Q;
+    Q defaults to dP/ds.
 
-    Entry j, for j = p = deg G down to 0, is sResP_j(G, G_s): G, then G_s,
-    then (-1)^((p-j)(p-j-1)/2) times the j-th subresultant; entry 0 is the
-    resultant ``res`` up to sign.  Entries are built on first use.
+    P and Q head it.  Entry j < deg Q is (-1)^((p-j)(p-j-1)/2), p = deg P,
+    times the j-th subresultant; entry 0 is the resultant ``res`` up to sign.
+    Entries are built on first use.
 
-    At a real algebraic alpha where the s-leading coefficient of G does not
-    vanish (``at`` truncates G so that it does not), the entries specialise to
-    the signed subresultants of G(alpha, s) and its derivative, and every
-    question about G(alpha, s) is the sign of an integer polynomial in c at
-    alpha (Basu, Pollack, Roy, Algorithms in Real Algebraic Geometry,
-    ch. 8-9; González-Vega and Necula, CAGD 2002):
-      - deg gcd(G(alpha, s), G_s(alpha, s)) is the least j whose principal
-        coefficient (that of s^j in entry j) is nonzero at alpha; entry j is
-        then a gcd, and the entries below it vanish at alpha;
-      - the sign variations of the entries at s = -inf, minus those at
-        s = +inf, count the distinct real roots of G(alpha, s), as for a
-        Sturm sequence.
+    At a real algebraic alpha where P and Q keep their s-degrees (see
+    ``SPoly.truncated``), the entries specialise to the signed subresultants
+    of P(alpha, s) and Q(alpha, s), and every question about them is the sign
+    of an integer polynomial in c at alpha (Basu, Pollack, Roy, Algorithms in
+    Real Algebraic Geometry, ch. 8-9; González-Vega and Necula, CAGD 2002):
+      - deg gcd(P(alpha, s), Q(alpha, s)) is the least j whose principal
+        coefficient (that of s^j in entry j) is nonzero at alpha, and entry j
+        is then a gcd (``gcd``);
+      - for Q = dP/ds, the sign variations of the sequence at s = -inf,
+        minus those at s = +inf, count the distinct real roots of P(alpha, s),
+        as for a Sturm sequence (``real_root_count``).
     """
 
-    def __init__(self, G: SPoly, res: ZP):
-        self.p = G.degree_s()
-        self._entries = {0: self._signed(SPoly([res]), 0), self.p: G, self.p - 1: G.ds()}
+    def __init__(self, P: SPoly, Q: SPoly = None, res: ZP = None):
+        self.P = P
+        self.Q = P.ds() if Q is None else Q
+        self.p, self.q = P.degree_s(), self.Q.degree_s()
+        self._entries = {} if res is None else {0: self._signed(SPoly([res]), 0)}
 
     def _signed(self, S: SPoly, j: int) -> SPoly:
         e = self.p - j
@@ -244,29 +228,39 @@ class SturmHabicht:
 
     def __getitem__(self, j: int) -> SPoly:
         if j not in self._entries:
-            S = subresultant(self._entries[self.p], self._entries[self.p - 1], j)
-            self._entries[j] = self._signed(S, j)
+            self._entries[j] = self._signed(subresultant(self.P, self.Q, j), j)
         return self._entries[j]
 
-    @classmethod
-    def of(cls, G: SPoly) -> "SturmHabicht":
-        return cls(G, sylvester_resultant(G, G.ds()))
-
     def at(self, alpha) -> "SturmHabicht":
-        """This sequence, or that of G truncated to its s-degree at alpha."""
-        G = self._entries[self.p]
-        Gt = G.truncated(alpha)
-        return self if Gt is G else self.of(Gt)
+        """This sequence of P and dP/ds, or that of P truncated at alpha."""
+        Pt = self.P.truncated(alpha)
+        return self if Pt is self.P else SturmHabicht(Pt)
 
-    def gcd_degree(self, alpha) -> int:
-        """deg gcd(G(alpha, s), G_s(alpha, s)); 0 when deg G < 1."""
-        return next((j for j in range(self.p) if alpha.sign_of(self[j].coeff(j)) != 0), 0)
+    def gcd(self, alpha):
+        """(k, entry): k = deg gcd(P(alpha, s), Q(alpha, s)) and an entry that
+        specialises at alpha to such a gcd.  With no principal coefficient
+        nonzero at alpha, Q divides P; with Q zero at alpha, the gcd is P."""
+        if self.q < 0:
+            return self.p, self.P
+        for j in range(self.q):
+            if alpha.sign_of(self[j].coeff(j)) != 0:
+                return j, self[j]
+        return self.q, self.Q
 
     def real_root_count(self, alpha) -> int:
-        """Distinct real roots of G(alpha, s)."""
-        entries = [self[j] for j in range(self.p, -1, -1)]
+        """Distinct real roots of P(alpha, s), for Q = dP/ds."""
+        entries = [self.P, self.Q] + [self[j] for j in range(self.q - 1, -1, -1)]
         return (sign_variations([_sign_at_infinity(S, alpha, -1) for S in entries])
                 - sign_variations([_sign_at_infinity(S, alpha, 1) for S in entries]))
+
+
+def common_real_root(A: SPoly, B: SPoly, alpha) -> bool:
+    """Whether A(alpha, s) and B(alpha, s) share a real root; both keep their
+    s-degrees at alpha, and A is not zero there."""
+    if A.degree_s() < B.degree_s():
+        A, B = B, A
+    k, g = SturmHabicht(A, B).gcd(alpha)
+    return k >= 1 and SturmHabicht(g).real_root_count(alpha) >= 1
 
 
 def _sign_at_infinity(S: SPoly, alpha, direction: int) -> int:

@@ -3,18 +3,18 @@
 For a boundary curve F and the family line_c(s), the restriction
 G(c, s) = F(line_c(s)) has tangency parameters among the real roots of
 Res_s(G, dG/ds).  At each such root alpha the gcd of G(alpha, .) and its
-s-derivative classifies the coincidence exactly.  Its degree and its
-coefficients come from the signed subresultant sequence of G and dG/ds,
-computed once over ZZ[c] (``bivar.SturmHabicht``):
+s-derivative classifies the coincidence exactly.  Its degree and an entry
+that specialises to it come from the signed subresultant sequence of G and
+dG/ds, computed once over ZZ[c] (``bivar.SturmHabicht.gcd``):
 
   deg gcd = 1   one real double root (an honest order-2 tangency) at
-                s* = -S_{1,0}(alpha) / S_{1,1}(alpha)
+                s* = -S_{1,0}(alpha) / S_{1,1}(alpha), S_1 the gcd entry
   deg gcd = 2   discriminant < 0: a complex double pair, not an event;
                 discriminant >= 0: a triple tangency or two simultaneous
                 tangencies, both non-generic
-  deg gcd >= 3  real-root counts of the gcd and of its own gcd with its
-                derivative tell a harmless complex coincidence from a
-                non-generic real one
+  deg gcd >= 3  a real multiple root of the gcd (``bivar.common_real_root``
+                with its derivative) and the gcd's real-root count tell a
+                harmless complex coincidence from a non-generic real one
 
 No arithmetic in QQ(alpha) is ever needed; everything reduces to signs of
 integer polynomials at isolated algebraic numbers.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bivar import SPoly, SturmHabicht, sylvester_resultant
+from .bivar import SPoly, SturmHabicht, common_real_root, sylvester_resultant
 from .polys import zp_mul, zp_neg, zp_scale, zp_squarefree_part, zp_sub
 from .realroots import AlgebraicNumber, isolate_real_roots
 
@@ -51,22 +51,22 @@ class DegenerateScene(Exception):
 class ParamEvent:
     """A real order-2 tangency of one component at one sweep parameter."""
 
-    __slots__ = ("component", "chart", "alpha", "seq")
+    __slots__ = ("component", "chart", "alpha", "tangent")
 
-    def __init__(self, component, chart, alpha, seq: SturmHabicht):
+    def __init__(self, component, chart, alpha, tangent: SPoly):
         self.component = component      # component index in the scene
         self.chart = chart              # 0 (constant field) | 0/1 (radial)
         self.alpha = alpha              # AlgebraicNumber, sweep parameter
-        self.seq = seq                  # of G(alpha, s); gcd degree 1 at alpha
+        self.tangent = tangent          # S_1: gcd(G, G_s) at alpha, s* its root
 
     def s_star_sign(self) -> int:
         """Sign of the tangent point's line coordinate s*."""
-        c0, c1 = self.seq[1].coeffs
+        c0, c1 = self.tangent.coeffs
         return -self.alpha.sign_of(c0) * self.alpha.sign_of(c1)
 
     def s_star_interval(self, width: Fraction):
         """Rationals lo <= s* <= hi with hi - lo <= width."""
-        c0, c1 = self.seq[1].coeffs
+        c0, c1 = self.tangent.coeffs
         return self.alpha.ratio_interval(zp_neg(c0), c1, width)
 
 
@@ -74,15 +74,14 @@ def classify_parameter(seq: SturmHabicht, comp_idx: int, chart: int,
                        alpha: AlgebraicNumber):
     """Classify one root of Res_s(G, G_s), where ``seq`` is the sequence of G:
     ParamEvent, None, or DegenerateScene."""
-    seq = seq.at(alpha)
-    k = seq.gcd_degree(alpha)
+    k, g = seq.at(alpha).gcd(alpha)
     if k <= 0:
         return None
     if k == 1:
-        return ParamEvent(comp_idx, chart, alpha, seq)
+        return ParamEvent(comp_idx, chart, alpha, g)
     witness = ("component %d" % comp_idx, float(alpha), (alpha.lo, alpha.hi))
     if k == 2:
-        c, b, a = (seq[2].coeff(i) for i in range(3))
+        c, b, a = (g.coeff(i) for i in range(3))
         sd = alpha.sign_of(zp_sub(zp_mul(b, b), zp_scale(zp_mul(a, c), 4)))
         if sd < 0:
             return None  # complex double pair: no real tangency here
@@ -92,11 +91,9 @@ def classify_parameter(seq: SturmHabicht, comp_idx: int, chart: int,
     # k >= 3: decide what is real.  A multiple root of the gcd is a root of
     # multiplicity > 2 of G itself; a square-free gcd with several real roots
     # means simultaneous tangencies; all-complex coincidences are harmless.
-    gcd = SturmHabicht.of(seq[k])
-    k2 = gcd.gcd_degree(alpha)
-    if k2 >= 1 and SturmHabicht.of(gcd[k2]).real_root_count(alpha) >= 1:
+    if common_real_root(g, g.ds(), alpha):
         raise DegenerateScene("tangency of multiplicity > 2", witness)
-    nreal = gcd.real_root_count(alpha)
+    nreal = SturmHabicht(g).real_root_count(alpha)
     if nreal >= 2:
         raise DegenerateScene("two simultaneous tangencies at one sweep parameter",
                               witness)
@@ -114,7 +111,7 @@ def multiple_root_params(G: SPoly):
         return None, [], None
     rsf = zp_squarefree_part(res)
     params = [AlgebraicNumber(rsf, lo, hi) for lo, hi in isolate_real_roots(rsf)]
-    return rsf, params, SturmHabicht(G, res)
+    return rsf, params, SturmHabicht(G, res=res)
 
 
 def component_events(G: SPoly, comp_idx: int, chart: int,

@@ -137,7 +137,7 @@ def resolutions(pattern):
 
     Each entry m can shed c >= 0 complex pairs and split the remaining
     m - 2c into any ordered composition of positive multiplicities; the
-    concatenenation (root order is preserved under small perturbations)
+    concatenation (root order is preserved under small perturbations)
     is then segmented.  Returns the deduplicated set of tuples of Patterns.
     """
     p = check_pattern(pattern)

@@ -79,11 +79,6 @@ def sturm_variations_at_inf(chain, direction: int) -> int:
                             for q in chain if q])
 
 
-def count_roots(chain, lo: Fraction, hi: Fraction) -> int:
-    """Number of real roots in (lo, hi]."""
-    return sturm_variations_at(chain, lo) - sturm_variations_at(chain, hi)
-
-
 def window_counts(p: ZP, r_lo: Fraction, r_hi: Fraction, lower: Fraction = None):
     """Distinct real roots of p, counted with one Sturm chain of its
     square-free part: (all of them, those at or below r_lo, those strictly
@@ -282,20 +277,22 @@ class AlgebraicNumber:
         raise RuntimeError("no interval clear of the polynomials' roots")
 
     def equals(self, other: "AlgebraicNumber") -> bool:
+        """Whether both are one number; if not, both are refined until their
+        intervals are disjoint.  g = gcd(p, q) is square-free, and no end of
+        an interval that is not a point is a root of it, so the overlap of two
+        such intervals holds a root of g, which is then both numbers, exactly
+        when g changes sign across it."""
         if self.is_rational or other.is_rational:
             r, x = (self, other) if self.is_rational else (other, self)
             return x.sign_of(self.from_rational(r.lo).poly) == 0
         g = zp_gcd(self.poly, other.poly)
         if zp_degree(g) < 1:
             return False
-        gchain = sturm_chain(g)
         for _ in range(REFINE_BUDGET):
             lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
             if lo >= hi:
                 return False
-            if (count_roots(gchain, self.lo, self.hi) == 1
-                    and count_roots(gchain, other.lo, other.hi) == 1
-                    and count_roots(gchain, lo, hi) == 1):
+            if zp_sign_at(g, lo) * zp_sign_at(g, hi) < 0:
                 return True
             self.refine()
             other.refine()

@@ -157,13 +157,12 @@ def _sample_cell(scene, spolys, chart, q, lo: Fraction, hi: Fraction) -> _Cell:
         roots = []
         if p:
             for root, mult in real_roots_with_multiplicities(p):
+                # roots at s <= 0 lie on the opposite ray: the other chart's
+                if radial and root.compare_rational(Fraction(0)) <= 0:
+                    continue
                 if mult != 1:
                     raise MatchingAmbiguous(
                         f"multiple crossing at sample parameter {c} (chart {chart})")
-                if radial:
-                    s = root.compare_rational(Fraction(0))
-                    if s <= 0:
-                        continue
                 roots.append(root)
         comp_roots.append(roots)
     # merge across components; curves are disjoint so refinement separates
@@ -229,7 +228,7 @@ def _resolve_event(G, radial: bool, ev: ParamEvent, left_cell: _Cell, right_cell
     richer_is_left = nl > nr
     # refine a private copy: the report reads ev.alpha as earlier layers left it
     ev = ParamEvent(K, ev.chart, AlgebraicNumber(ev.alpha.poly, ev.alpha.lo, ev.alpha.hi),
-                    ev.seq)
+                    ev.tangent)
     alpha, GK = ev.alpha, G[K]
     lead = GK.coeffs[-1]
     if alpha.sign_of(lead) == 0:

@@ -11,9 +11,10 @@ Checks, all exact, with algebraic certificates:
   EMPTY                 no interior point of X was found
 
 Singularities and curve intersections are both detected along the vertical
-line pencil: every real point lies on some vertical line, a singular point
-forces a multiple root of the restriction there, and the event classifier
-pins these down exactly.  A component's stored curve already is its
+line pencil: every real point lies on some line x = alpha, and a singular
+point (a real common root of gcd(G, G_s) and F_x) or an intersection point
+forces alpha to be a root of a resultant; ``bivar.common_real_root``
+decides each exactly.  A component's stored curve already is its
 restriction G to that pencil (``geometry.BoundaryComponent``), so nothing
 is substituted: F_x is G's c-derivative, and the frame edges are G at
 x = x0, x1 (``SPoly.at_param``) and at y = y0, y1 (``SPoly.at_s``).
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bivar import SturmHabicht, gcd_at, sylvester_resultant
+from .bivar import common_real_root, sylvester_resultant
 from .events import multiple_root_params
 from .polys import zp_sign_at, zp_squarefree_part
 from .realroots import (
@@ -94,15 +95,6 @@ class _VerticalAnalysis:
         return [AlgebraicNumber(self.rsf, lo, hi) for lo, hi in self.intervals]
 
 
-def _real_common_root(A, B, alpha):
-    """Whether A(alpha, s) and B(alpha, s) share a real root; both have their
-    exact s-degrees at alpha, and A is not zero there."""
-    if A.degree_s() < B.degree_s():
-        A, B = B, A
-    k, g = gcd_at(A, B, alpha)
-    return k >= 1 and SturmHabicht.of(g).real_root_count(alpha) >= 1
-
-
 def _check_smooth(comp, va, report):
     """No real point with F = Fx = Fy = 0 (in particular on tangency loci)."""
     if va.rsf is None:
@@ -110,10 +102,9 @@ def _check_smooth(comp, va, report):
                    "CURVE_SINGULAR: restriction identically degenerate")
         return
     for alpha in va.params():
-        at = va.seq.at(alpha)
-        k = at.gcd_degree(alpha)
+        k, g = va.seq.at(alpha).gcd(alpha)
         # a singular point is a real common root of G, G_s and F_x on x = alpha
-        if k >= 1 and _real_common_root(at[k], va.fx.truncated(alpha), alpha):
+        if k >= 1 and common_real_root(g, va.fx.truncated(alpha), alpha):
             report.add(f"curve_smooth[{comp.name}]", False,
                        f"CURVE_SINGULAR: singular point near x = {float(alpha):.6g}")
             return
@@ -133,7 +124,7 @@ def _check_disjoint(vi, vj, name_i, name_j, report):
         fa, fb = Gi.truncated(alpha), Gj.truncated(alpha)
         if fa.degree_s() < 0 or fb.degree_s() < 0:
             continue
-        if _real_common_root(fa, fb, alpha):
+        if common_real_root(fa, fb, alpha):
             report.add(f"disjoint[{name_i},{name_j}]", False,
                        f"COMPONENTS_INTERSECT: common point near x = {float(alpha):.6g}")
             return

@@ -32,6 +32,27 @@ def test_analyze_annulus3_values(capsys, tmp_path):
     assert doc["bounds"]["rho1_ratio"] == "1/2"
 
 
+@pytest.mark.parametrize("cx", [31, -31])
+def test_analyze_radial_sample_line_tangent_on_opposite_ray(capsys, tmp_path, cx):
+    # the sample line through the centre is tangent to the hole on the ray
+    # of the other chart; that double root must not stop the sampled chart
+    scene = {"field": {"kind": "radial", "center": [[cx, 1], [0, 1]]},
+             "outer": {"curve": {"type": "circle", "center": [[1, 1], [0, 1]],
+                                 "radius": [8, 1]}, "inside_sign": 1},
+             "holes": [{"curve": {"type": "circle", "center": [[-5, 1], [1, 1]],
+                                  "radius": [1, 1]}, "inside_sign": -1}],
+             "bbox": [[-11, 1], [11, 1], [-11, 1], [11, 1]]}
+    scene_file, out_file = tmp_path / "s.json", tmp_path / "r.json"
+    scene_file.write_text(json.dumps(scene))
+    code, _ = run(capsys, "analyze", str(scene_file), "--out", str(out_file))
+    assert code == 0
+    doc = json.loads(out_file.read_text())
+    per_pattern = doc["complexity"]["per_pattern"]
+    assert (per_pattern["2"], per_pattern["121"]) == (2, 2)
+    assert doc["homology"]["double"]["betti"] == [1, 2, 1]
+    assert doc["bounds"]["all_pass"]
+
+
 def test_analyze_degenerate_exit_2(capsys, tmp_path):
     out_file = tmp_path / "r.json"
     code, _ = run(capsys, "analyze", fixture_path("degenerate/double_tangent.json"),

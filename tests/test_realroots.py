@@ -22,7 +22,6 @@ from trajspace.realroots import (
     root_bound,
     separate,
     sturm_chain,
-    count_roots,
     window_counts,
 )
 
@@ -405,10 +404,10 @@ def test_algebraic_sign_and_compare():
 def test_field_poly_gcd_detects_double_root():
     sqrt2 = AlgebraicNumber(zp([-2, 0, 1]), Fraction(1), Fraction(2))
     # G = s^2 - 2cs + 2 is (s - sqrt2)^2 at c = sqrt2
-    seq = SturmHabicht.of(SPoly([(2,), (0, -2), (1,)]))
-    assert seq.gcd_degree(sqrt2) == 1
+    k, S1 = SturmHabicht(SPoly([(2,), (0, -2), (1,)])).gcd(sqrt2)
+    assert k == 1
     # s* = -S_{1,0}/S_{1,1} = sqrt2, i.e. S_{1,0} + c S_{1,1} vanishes at sqrt2
-    s10, s11 = seq[1].coeffs
+    s10, s11 = S1.coeffs
     assert sqrt2.sign_of(zp_add(s10, zp_mul((0, 1), s11))) == 0
     assert sqrt2.sign_of(s11) != 0
 
@@ -416,9 +415,35 @@ def test_field_poly_gcd_detects_double_root():
 def test_field_sturm_counts():
     sqrt2 = AlgebraicNumber(zp([-2, 0, 1]), Fraction(1), Fraction(2))
     # G = (s - c)(s + 1): roots at -1 and sqrt2 when c = sqrt2
-    seq = SturmHabicht.of(SPoly([(0, -1), (1, -1), (1,)]))
-    assert seq.gcd_degree(sqrt2) == 0
+    seq = SturmHabicht(SPoly([(0, -1), (1, -1), (1,)]))
+    assert seq.gcd(sqrt2)[0] == 0
     assert seq.real_root_count(sqrt2) == 2
+
+
+def test_equals_across_defining_polynomials():
+    # sqrt2 under x^2 - 2 and under (x^2 - 2)(x - 3)
+    a = AlgebraicNumber(zp([-2, 0, 1]), Fraction(1), Fraction(2))
+    b = AlgebraicNumber(zp([6, -2, -3, 1]), Fraction(1), Fraction(2))
+    assert a.equals(b) and b.equals(a)
+
+
+def test_equals_refines_overlapping_intervals_apart():
+    # sqrt2 and sqrt3, both roots of (x^2 - 2)(x^2 - 3), on overlapping intervals
+    p = zp([6, 0, -5, 0, 1])
+    sqrt2 = AlgebraicNumber(p, Fraction(13, 10), Fraction(8, 5))
+    sqrt3 = AlgebraicNumber(p, Fraction(3, 2), Fraction(9, 5))
+    assert not sqrt2.equals(sqrt3)
+    assert sqrt2.hi < sqrt3.lo
+    assert sqrt2.lo < Fraction(17, 12) < sqrt2.hi and sqrt3.lo < Fraction(7, 4) < sqrt3.hi
+
+
+def test_equals_rational_against_irrational():
+    sqrt2 = AlgebraicNumber(zp([-2, 0, 1]), Fraction(1), Fraction(2))
+    assert not sqrt2.equals(AlgebraicNumber.from_rational(Fraction(3, 2)))
+    assert not AlgebraicNumber.from_rational(Fraction(3, 2)).equals(sqrt2)
+    # 3 on an interval of (x - 3)(x^2 - 2)
+    three = AlgebraicNumber(zp([6, -2, -3, 1]), Fraction(5, 2), Fraction(7, 2))
+    assert three.equals(AlgebraicNumber.from_rational(3))
 
 
 def test_nonvanishing_interval_refines_an_irrational_number():
@@ -440,9 +465,8 @@ def test_nonvanishing_interval_halves_around_a_rational_number():
 
 def test_sturm_count_interval():
     p = poly_from_roots([Fraction(-1), Fraction(2), Fraction(5)])
-    chain = sturm_chain(p)
-    assert count_roots(chain, Fraction(0), Fraction(3)) == 1
-    assert count_roots(chain, Fraction(-10), Fraction(10)) == 3
+    assert window_counts(p, Fraction(0), Fraction(3)) == (3, 1, 1)
+    assert window_counts(p, Fraction(-10), Fraction(10)) == (3, 0, 3)
 
 def _sympy_value(sp, alpha):
     """alpha as a sympy expression: a rational, or a root of a quadratic."""
@@ -485,22 +509,48 @@ def _scene_at_alpha(draw):
     return G, alpha
 
 
+def _sympy_at(sp, S, alpha):
+    """S(alpha, s) as a sympy Poly in s."""
+    c, s = sp.symbols("c s")
+    expr = sum((sum(a * c**i for i, a in enumerate(co)) * s**k
+                for k, co in enumerate(S.coeffs)), sp.Integer(0))
+    return sp.Poly(sp.expand(expr.subs(c, _sympy_value(sp, alpha))), s, extension=True)
+
+
+@pytest.mark.parametrize("P, Q", [
+    # equal s-degrees: (s - c)(s + 1) and (s - c)(s - 2) share s = c
+    (SPoly([(0, -1), (1, -1), (1,)]), SPoly([(0, 2), (-2, -1), (1,)])),
+    # (c^2 - 2)(s + 1) is zero at c = sqrt2, so the gcd is P
+    (SPoly([(0, -1), (1, -1), (1,)]), SPoly([(-2, 0, 1), (-2, 0, 1)])),
+    # the derivative pair of s^2 - 2cs + 2, (s - sqrt2)^2 at c = sqrt2
+    (SPoly([(2,), (0, -2), (1,)]), None),
+    # the derivative pair of (s - c)^3, whose gcd is dP/ds itself
+    (SPoly([(0, 0, 0, -1), (0, 0, 3), (0, -3), (1,)]), None),
+], ids=["equal-degrees", "second-zero", "derivative", "derivative-divides"])
+def test_sturm_habicht_gcd_matches_sympy(P, Q):
+    sp = pytest.importorskip("sympy")
+    sqrt2 = AlgebraicNumber(zp([-2, 0, 1]), Fraction(1), Fraction(2))
+    seq = SturmHabicht(P, None if Q is None else Q.truncated(sqrt2))
+    k, S = seq.gcd(sqrt2)
+    gcd = sp.gcd(_sympy_at(sp, seq.P, sqrt2), _sympy_at(sp, seq.Q, sqrt2))
+    assert k == gcd.degree()
+    g = _sympy_at(sp, S, sqrt2)
+    assert g.degree() == k and sp.rem(g, gcd).is_zero
+
+
 @given(_scene_at_alpha())
 @settings(max_examples=80, deadline=None)
 def test_subresultant_signs_match_sympy(case):
     sp = pytest.importorskip("sympy")
     G, alpha = case
-    c, s = sp.symbols("c s")
-    expr = sum((sum(a * c**i for i, a in enumerate(co)) * s**k
-                for k, co in enumerate(G.coeffs)), sp.Integer(0))
-    a = _sympy_value(sp, alpha)
-    g = sp.Poly(sp.expand(expr.subs(c, a)), s, extension=True)
+    s = sp.symbols("s")
+    g = _sympy_at(sp, G, alpha)
     if g.degree() < 1:
         return
-    seq = SturmHabicht.of(G).at(alpha)
+    seq = SturmHabicht(G).at(alpha)
     assert seq.p == g.degree()
     gcd = sp.gcd(g, g.diff(s))
-    assert seq.gcd_degree(alpha) == gcd.degree()
+    assert seq.gcd(alpha)[0] == gcd.degree()
     sqf = sp.quo(g, gcd)
     roots = [r for r in sp.Poly(sqf, s).nroots(n=40) if abs(sp.im(r)) < 1e-25]
     assert seq.real_root_count(alpha) == len(roots)
