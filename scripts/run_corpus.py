@@ -11,7 +11,7 @@ import sys
 import time
 from fractions import Fraction
 
-from trajspace import bounds, geometry, homology, strata, sweep
+from trajspace import geometry, report
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 SCENES = ["disk.json", "disk1.json", "disk2.json", "disk3.json", "disk4.json",
@@ -24,21 +24,16 @@ def main():
           f"{'volume':>8}{'ratio':>8}{'checks':>8}{'time':>8}")
     for name in SCENES:
         t0 = time.time()
-        scene = geometry.load_scene(str(FIXTURES / name))
-        graph = sweep.build_trajectory_space(scene)
-        table = strata.build_strata(graph, scene)
-        cv = strata.complexity_vectors(table)
-        dx = homology.cw_complex_of_double(table)
-        rep = bounds.check_all(scene, graph, cv, dx.betti_numbers())
-        counts = graph.pattern_counts()
-        ratio = rep.rho1_ratio
+        doc = report.analyze_scene(geometry.load_scene(str(FIXTURES / name)))
+        ts, rep = doc["trajectory_space"], doc["bounds"]
+        ratio = rep["rho1_ratio"]
         if ratio is not None:
-            best = ratio if best is None else min(best, ratio)
-        print(f"{name:<16}{graph.vertex_count:>4}{graph.edge_count:>4}"
-              f"{counts.get((2,), 0):>4}{counts.get((1, 2, 1), 0):>6}"
-              f"{rep.genus_DX:>7}{str(rep.simplicial_volume_DX):>8}"
-              f"{str(ratio) if ratio is not None else '-':>8}"
-              f"{'PASS' if rep.all_pass else 'FAIL':>8}"
+            best = Fraction(ratio) if best is None else min(best, Fraction(ratio))
+        print(f"{name:<16}{ts['vertices']:>4}{ts['edges']:>4}"
+              f"{ts['pattern_counts']['2']:>4}{ts['pattern_counts']['121']:>6}"
+              f"{rep['genus_DX']:>7}{rep['simplicial_volume_DX']:>8}"
+              f"{ratio if ratio is not None else '-':>8}"
+              f"{'PASS' if rep['all_pass'] else 'FAIL':>8}"
               f"{time.time() - t0:>7.2f}s")
     print(f"\nbest density ratio over the corpus: {best}"
           f" (conjecturally tight at 1/2)")

@@ -9,10 +9,7 @@ dG/ds, computed once over ZZ[c] (``bivar.SturmHabicht.gcd``):
 
   deg gcd = 1   one real double root (an honest order-2 tangency) at
                 s* = -S_{1,0}(alpha) / S_{1,1}(alpha), S_1 the gcd entry
-  deg gcd = 2   discriminant < 0: a complex double pair, not an event;
-                discriminant >= 0: a triple tangency or two simultaneous
-                tangencies, both non-generic
-  deg gcd >= 3  a real multiple root of the gcd (``bivar.common_real_root``
+  deg gcd >= 2  a real multiple root of the gcd (``bivar.common_real_root``
                 with its derivative) and the gcd's real-root count tell a
                 harmless complex coincidence from a non-generic real one
 
@@ -25,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bivar import SPoly, SturmHabicht, common_real_root, sylvester_resultant
-from .polys import zp_mul, zp_neg, zp_scale, zp_squarefree_part, zp_sub
+from .polys import zp_neg, zp_squarefree_part
 from .realroots import AlgebraicNumber, isolate_real_roots
 
 
@@ -80,15 +77,7 @@ def classify_parameter(seq: SturmHabicht, comp_idx: int, chart: int,
     if k == 1:
         return ParamEvent(comp_idx, chart, alpha, g)
     witness = ("component %d" % comp_idx, float(alpha), (alpha.lo, alpha.hi))
-    if k == 2:
-        c, b, a = (g.coeff(i) for i in range(3))
-        sd = alpha.sign_of(zp_sub(zp_mul(b, b), zp_scale(zp_mul(a, c), 4)))
-        if sd < 0:
-            return None  # complex double pair: no real tangency here
-        reason = ("two simultaneous tangencies at one sweep parameter"
-                  if sd > 0 else "tangency of multiplicity > 2")
-        raise DegenerateScene(reason, witness)
-    # k >= 3: decide what is real.  A multiple root of the gcd is a root of
+    # k >= 2: decide what is real.  A multiple root of the gcd is a root of
     # multiplicity > 2 of G itself; a square-free gcd with several real roots
     # means simultaneous tangencies; all-complex coincidences are harmless.
     if common_real_root(g, g.ds(), alpha):

@@ -1,10 +1,11 @@
 """Integer chain complexes of the trajectory graph and the double DX.
 
-The double's CW structure comes straight from the strata: 0-cells are the
-tangency-locus boundary points, 1-cells the boundary arcs (one copy, they
-live on the fixed locus) and the doubled tangent-trajectory segments,
-2-cells the doubled slabs.  The mirror copy carries the reversed
-orientation.  Smith normal form over ZZ gives ranks and torsion.
+The double's CW structure is read off the strata table: its cells are the
+DX strata, and each column of a boundary map is the ``faces`` of the cell's
+X stratum.  A face is taken in the cell's own copy, or on the fixed locus
+when it is a boundary stratum (taken once), so the mirror copy of a cell
+has the original's boundary with each interior face replaced by its mirror.
+Smith normal form over ZZ gives ranks and torsion.
 
 Each boundary map is reduced once, when its complex is built; Betti
 numbers, torsion and the report read the stored (rank, divisors) pairs.
@@ -179,84 +180,27 @@ def cw_complex_of_double(table) -> ChainComplex:
     """Cellular chain complex of DX from the strata table.
 
     Vertex-free circle components (loop edges) are not CW as bare strata;
-    they get one synthetic subdivision trajectory each (two 0-cells, one
-    doubled 1-cell).  Synthetic cells are labeled .../syn/... and are not
-    strata.
+    they get one synthetic subdivision trajectory each: boundary 0-cells
+    ``syn/ent`` and ``syn/ext`` and a doubled 1-cell ``syn/full``, which are
+    not strata.
     """
-    graph = table.graph
-    cells0 = [s.id for s in table.of("DX", dimension=0)]
-    cells1 = [s.id for s in table.of("DX", dimension=1)]
-    cells2 = [s.id for s in table.of("DX", dimension=2)]
-    for e in graph.edges:
+    cells = [[(s.source, s.location) for s in table.of("DX", dimension=j)] for j in range(3)]
+    faces = {s.source: s.faces for s in table.of("X")}
+    for e in table.graph.edges:
         if e.is_loop:
-            cells0 += [f"DX/{e.id}/syn/ent", f"DX/{e.id}/syn/ext"]
-            cells1 += [f"DX/{e.id}/syn/full/+", f"DX/{e.id}/syn/full/-"]
-    i0 = {c: i for i, c in enumerate(cells0)}
-    i1 = {c: i for i, c in enumerate(cells1)}
-    i2 = {c: i for i, c in enumerate(cells2)}
-
-    verts = {v.id: v for v in graph.vertices}
-    edges = {e.id: e for e in graph.edges}
-
-    def cell0(vid, role):
-        return f"DX/{vid}/{role}"
-
-    def arc(eid, side):
-        return f"DX/{eid}/{side}"
-
-    def seg(vid, which, copy):
-        return f"DX/{vid}/{which}/{'+' if copy == 0 else '-'}"
-
-    def slab(eid, copy):
-        return f"DX/{eid}/slab/{'+' if copy == 0 else '-'}"
-
-    ARC_LIMIT = {  # (role, side) -> 0-cell role at the vertex
-        ("pinch", "entry"): "tan", ("pinch", "exit"): "tan",
-        ("A", "entry"): "ent", ("A", "exit"): "tan",
-        ("B", "entry"): "tan", ("B", "exit"): "ext",
-        ("AB", "entry"): "ent", ("AB", "exit"): "ext",
-    }
-    SIDE_SEGS = {"pinch": [], "A": ["lower"], "B": ["upper"], "AB": ["lower", "upper"]}
-
-    d1 = [[0] * len(cells1) for _ in cells0]
-    for e in edges.values():
-        right = [(vid, role) for vid, role, onleft in e.attachments if onleft]
-        left = [(vid, role) for vid, role, onleft in e.attachments if not onleft]
-        for side in ("entry", "exit"):
-            col = i1[arc(e.id, side)]
-            for vid, role in right:
-                d1[i0[cell0(vid, ARC_LIMIT[(role, side)])]][col] += 1
-            for vid, role in left:
-                d1[i0[cell0(vid, ARC_LIMIT[(role, side)])]][col] -= 1
-    for v in verts.values():
-        if v.pattern != (1, 2, 1):
-            continue
-        for copy in (0, 1):
-            col = i1[seg(v.id, "lower", copy)]
-            d1[i0[cell0(v.id, "tan")]][col] += 1
-            d1[i0[cell0(v.id, "ent")]][col] -= 1
-            col = i1[seg(v.id, "upper", copy)]
-            d1[i0[cell0(v.id, "ext")]][col] += 1
-            d1[i0[cell0(v.id, "tan")]][col] -= 1
-    for e in edges.values():
-        if not e.is_loop:
-            continue
-        for copy in (0, 1):
-            col = i1[f"DX/{e.id}/syn/full/{'+' if copy == 0 else '-'}"]
-            d1[i0[f"DX/{e.id}/syn/ext"]][col] += 1
-            d1[i0[f"DX/{e.id}/syn/ent"]][col] -= 1
-
-    d2 = [[0] * len(cells2) for _ in cells1]
-    for e in edges.values():
-        for copy in (0, 1):
-            col = i2[slab(e.id, copy)]
-            orient = 1 if copy == 0 else -1
-            d2[i1[arc(e.id, "entry")]][col] += orient
-            d2[i1[arc(e.id, "exit")]][col] -= orient
-            for vid, role, onleft in e.attachments:
-                sgn = orient * (1 if onleft else -1)
-                for which in SIDE_SEGS[role]:
-                    d2[i1[seg(vid, which, copy)]][col] += sgn
-    cc = ChainComplex([len(cells0), len(cells1), len(cells2)], [None, d1, d2])
+            ent, ext, full = (("edge", e.id, "syn/" + part) for part in ("ent", "ext", "full"))
+            cells[0] += [(ent, "boundary"), (ext, "boundary")]
+            cells[1] += [(full, "interior"), (full, "mirror")]
+            faces[full] = ((ext, 1), (ent, -1))
+    boundaries = [None]
+    for j in (1, 2):
+        row = {cell: i for i, cell in enumerate(cells[j - 1])}
+        d = [[0] * len(cells[j]) for _ in cells[j - 1]]
+        for col, (source, location) in enumerate(cells[j]):
+            for face, coeff in faces[source]:
+                key = (face, location) if (face, location) in row else (face, "boundary")
+                d[row[key]][col] += coeff
+        boundaries.append(d)
+    cc = ChainComplex([len(c) for c in cells], boundaries)
     cc.check_dd_zero()
     return cc

@@ -93,7 +93,7 @@ def analyze_scene_with_graph(scene, seed: int = 0):
         ],
     }
 
-    table = strata.build_strata(graph, scene)
+    table = strata.build_strata(graph)
     cv = strata.complexity_vectors(table)
     doc["strata"] = table.to_dict()
     doc["strata"]["doubling_identity"] = strata.doubling_identity_holds(table)

@@ -11,6 +11,8 @@ off the graph:
   DX                 interior strata doubled (a mirror copy each), boundary
                      strata taken once
 
+Each X stratum carries its cellular boundary as signed faces, so the table
+is the whole CW structure of X and of DX; ``homology`` only reduces it.
 Connectivity is inherited from the sweep's incidence bookkeeping, never from
 floating-point geometry, so the counts are exact.
 """
@@ -28,6 +30,7 @@ class Stratum:
     pattern: tuple
     location: str       # "boundary" | "interior" | "mirror"
     source: tuple       # ("edge"|"vertex", id, detail)
+    faces: tuple = ()   # X only: cellular boundary, ((face source, coefficient), ...)
 
 
 @dataclass
@@ -82,7 +85,18 @@ class StrataTable:
         return spaces
 
 
-def build_strata(graph, scene=None) -> StrataTable:
+# (role, side) -> the 0-cell at the vertex that a boundary arc of the edge
+# tends to; role -> the tangent-trajectory segments bounding the edge's slab
+ARC_LIMIT = {
+    ("pinch", "entry"): "tan", ("pinch", "exit"): "tan",
+    ("A", "entry"): "ent", ("A", "exit"): "tan",
+    ("B", "entry"): "tan", ("B", "exit"): "ext",
+    ("AB", "entry"): "ent", ("AB", "exit"): "ext",
+}
+SIDE_SEGS = {"pinch": (), "A": ("lower",), "B": ("upper",), "AB": ("lower", "upper")}
+
+
+def build_strata(graph) -> StrataTable:
     table = StrataTable(graph)
     add = table.strata.append
 
@@ -96,18 +110,26 @@ def build_strata(graph, scene=None) -> StrataTable:
         if v.pattern == (2,):
             add(Stratum(f"X/{v.id}/tan", "X", 0, v.pattern, "boundary",
                         ("vertex", v.id, "tan")))
-        else:
-            for role in ("ent", "tan", "ext"):
-                add(Stratum(f"X/{v.id}/{role}", "X", 0, v.pattern, "boundary",
-                            ("vertex", v.id, role)))
-            for seg in ("lower", "upper"):
-                add(Stratum(f"X/{v.id}/{seg}", "X", 1, v.pattern, "interior",
-                            ("vertex", v.id, seg)))
+            continue
+        ent, tan, ext = (("vertex", v.id, role) for role in ("ent", "tan", "ext"))
+        for cell in (ent, tan, ext):
+            add(Stratum(f"X/{v.id}/{cell[2]}", "X", 0, v.pattern, "boundary", cell))
+        add(Stratum(f"X/{v.id}/lower", "X", 1, v.pattern, "interior",
+                    ("vertex", v.id, "lower"), ((tan, 1), (ent, -1))))
+        add(Stratum(f"X/{v.id}/upper", "X", 1, v.pattern, "interior",
+                    ("vertex", v.id, "upper"), ((ext, 1), (tan, -1))))
     for e in graph.edges:
-        add(Stratum(f"X/{e.id}/slab", "X", 2, (1, 1), "interior", ("edge", e.id, "slab")))
+        # the edge approaches a vertex from the left iff the vertex is its
+        # parameter-increasing endpoint
+        ends = [(vid, role, 1 if onleft else -1) for vid, role, onleft in e.attachments]
+        slab = ((("edge", e.id, "entry"), 1), (("edge", e.id, "exit"), -1))
+        slab += tuple((("vertex", vid, seg), sign) for vid, role, sign in ends
+                      for seg in SIDE_SEGS[role])
+        add(Stratum(f"X/{e.id}/slab", "X", 2, (1, 1), "interior", ("edge", e.id, "slab"), slab))
         for side in ("entry", "exit"):
-            add(Stratum(f"X/{e.id}/{side}", "X", 1, (1, 1), "boundary",
-                        ("edge", e.id, side)))
+            add(Stratum(f"X/{e.id}/{side}", "X", 1, (1, 1), "boundary", ("edge", e.id, side),
+                        tuple((("vertex", vid, ARC_LIMIT[role, side]), sign)
+                              for vid, role, sign in ends)))
 
     # DX strata: boundary once, interior twice
     for s in list(table.strata):

@@ -399,9 +399,7 @@ def build_trajectory_space(scene) -> TrajectoryGraph:
                           [(vx.id, role, onleft) for vx, role, onleft in ends],
                           is_loop=not ends, samples=samples))
 
-    graph = TrajectoryGraph(vertices, edges, scene, seam_rotation=q)
-    _check_degrees(graph)
-    return graph
+    return TrajectoryGraph(vertices, edges, scene, seam_rotation=q)
 
 
 def _cell_bounds(left, right):
@@ -501,12 +499,3 @@ def _apply_event(uf, cells, i, k, ev, richer_is_left, j, vid, attach, scene, q):
     if len(matched) != len(poor.trajectories):
         raise MatchingAmbiguous(f"extra trajectories after the event at {float(ev.alpha):.6g}")
     return vx
-
-
-def _check_degrees(graph: TrajectoryGraph):
-    for v in graph.vertices:
-        deg = graph.degree(v.id)
-        want = 1 if v.pattern == (2,) else 3
-        if deg != want:
-            raise MatchingAmbiguous(
-                f"vertex {v.id} with pattern {v.pattern} has degree {deg}")

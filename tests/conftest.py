@@ -92,7 +92,7 @@ class Analyzed:
         self.name = name
         self.scene = load_fixture(name)
         self.graph = sweep.build_trajectory_space(self.scene)
-        self.table = strata.build_strata(self.graph, self.scene)
+        self.table = strata.build_strata(self.graph)
         self.complexity = strata.complexity_vectors(self.table)
         self.double = homology.cw_complex_of_double(self.table)
 

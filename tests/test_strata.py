@@ -1,6 +1,8 @@
 import pytest
 
-from trajspace import strata
+from trajspace import strata, sweep
+
+from conftest import GENERIC_FIXTURES, analyzed, holes_scene
 
 
 def test_disk_dx_counts(disk):
@@ -81,3 +83,17 @@ def test_minimal_strata_includes_loop_components():
     ms = strata.minimal_strata(a.table)
     assert ms["count"] == 1
     assert ms["generator_bound"] == 1
+
+
+@pytest.mark.parametrize("name", GENERIC_FIXTURES + ["annulus0.json", "holes8"])
+def test_faces_are_strata_one_dimension_lower(name):
+    # the double's boundary maps look each face up in the cell's own copy,
+    # or once on the fixed locus: a boundary stratum has only boundary faces
+    graph = (sweep.build_trajectory_space(holes_scene(8)) if name == "holes8"
+             else analyzed(name).graph)
+    x = {s.source: s for s in strata.build_strata(graph).of("X")}
+    assert all(s.faces for s in x.values() if s.dimension == 2)
+    for s in x.values():
+        for face, _ in s.faces:
+            assert x[face].dimension == s.dimension - 1
+            assert s.location == "interior" or x[face].location == "boundary"

@@ -75,10 +75,11 @@ def test_quartic_flat_tangency_rejected():
     # G(c, s) by powers of s; at c = 0 the gcd of G and G_s has degree k
     ([(1, 0, 1), (), (-2,), (), (1,)], "two simultaneous"),     # (s^2-1)^2 + c^2, k = 2
     ([(2, 0, 1), (), (5,), (), (4,), (), (1,)], None),           # (s^2+1)^2 (s^2+2) + c^2
-    ([(-2, 0, 1), (5,), (-3,), (-1,), (1,)], "multiplicity"),   # (s-1)^3 (s+2) + c^2, k = 3
+    ([(-2, 0, 1), (5,), (-3,), (-1,), (1,)], "multiplicity"),   # (s-1)^3 (s+2) + c^2, k = 2
     ([(1, 0, 1), (), (3,), (), (3,), (), (1,)], None),           # (s^2+1)^3 + c^2, k = 4
     ([(36, 0, 1), (-132,), (193,), (-144,), (58,), (-12,), (1,)],
      "two simultaneous"),                                       # ((s-1)(s-2)(s-3))^2 + c^2
+    ([(2, 0, 1), (-7,), (8,), (-2,), (-2,), (1,)], "multiplicity"),  # (s-1)^4 (s+2) + c^2, k = 3
 ])
 def test_classification_branches(coeffs, verdict):
     from trajspace.bivar import SPoly
@@ -248,7 +249,7 @@ def test_random_scenes_satisfy_structural_laws(scene):
     assert g.euler_characteristic() == 1 - q
     for v in g.vertices:
         assert g.degree(v.id) == (1 if v.pattern == (2,) else 3)
-    table = strata.build_strata(g, scene)
+    table = strata.build_strata(g)
     assert strata.doubling_identity_holds(table)
     cc = homology.cw_complex_of_double(table)
     assert cc.betti_numbers() == [1, 2 * q, 1]
@@ -478,7 +479,7 @@ def test_window_shrinks_when_the_event_line_meets_the_component_again(monkeypatc
     n2, n121, h = g.pattern_counts()[(2,)], g.pattern_counts()[(1, 2, 1)], 2
     assert n2 == n121 + 2 - 2 * h
     assert 2 * g.edge_count == n2 + 3 * n121
-    table = strata.build_strata(g, scene)
+    table = strata.build_strata(g)
     assert homology.cw_complex_of_double(table).betti_numbers() == [1, 2 * h, 1]
 
 
@@ -507,7 +508,7 @@ def test_event_where_the_leading_coefficient_vanishes(coeffs, bbox, rational_alp
     assert g.pattern_counts() == {(2,): 2, (1, 2, 1): 0}
     assert (g.vertex_count, g.edge_count) == (2, 1)
     assert all(v.event.point[1] == 0 for v in g.vertices)
-    double = homology.cw_complex_of_double(strata.build_strata(g, scene))
+    double = homology.cw_complex_of_double(strata.build_strata(g))
     assert double.betti_numbers() == [1, 0, 1]
 
 
