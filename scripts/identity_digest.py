@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Print one sha256 per scene over its report, DOT and SVG, and one over
-the sampling oracle.
+"""Print one sha256 per scene over its report, DOT and SVG, one over the
+Hasse DOT of the pattern poset and three over the sampling oracle.
 
 Covers every fixture, degenerate fixture and tilted benchmark scene.  Each
 scene goes through `trajspace analyze --svg --dot` in process; the digest
@@ -19,7 +19,9 @@ that meets the frame, a curve through the frame's four corners, a curve
 wholly outside the box, a hole outside the outer curve, nested holes,
 overlapping holes, the nodal quartic and a radial centre in X), so it pins
 the bbox, hole, field and singularity checks' failure reports, and the
-bbox check's closed edge ends.  The last three lines cover the
+bbox check's closed edge ends.  The poset line covers the Hasse DOT of the
+pattern poset for n = 0..6, which is read off ``omega.resolutions`` of every
+pattern of reduced norm <= 6.  The last three lines cover the
 oracle's observed pattern sets for all 30 patterns of norm <= 8 (200
 samples, seed 0), which depend on root counting but on no scene.  At
 magnitude 1/1000 every sample passes the window certificate of
@@ -171,6 +173,10 @@ def main():
             h.update(f"{name} {scene_digest(path, pathlib.Path(tmp))}\n".encode())
         print(f"{h.hexdigest()}  rejected: {len(REJECTED_SCENES)} scenes that fail validation",
               flush=True)
+    h = hashlib.sha256()
+    for n in range(7):
+        h.update(omega.export_hasse_dot(omega.build_poset(n)).encode())
+    print(f"{h.hexdigest()}  poset: Hasse DOT for n = 0..6", flush=True)
     digest, count = oracle_digest(Fraction(1, 1000))
     print(f"{digest}  oracle: {count} patterns of norm <= 8", flush=True)
     digest, count = oracle_digest(Fraction(1, 2))

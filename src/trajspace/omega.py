@@ -10,8 +10,6 @@ local polynomial model (see local_model for the sampling cross-check).
 
 from __future__ import annotations
 
-from itertools import product
-
 
 Pattern = tuple  # tuple[int, ...]
 
@@ -85,6 +83,23 @@ def enumerate_patterns(n: int):
     return sorted(set(found), key=pattern_key)
 
 
+def _segment(state, multiplicities):
+    """Advance a segmentation state, (closed Patterns in order, open component
+    or None), over real-root multiplicities in root order (segment_patterns)."""
+    closed, current = state
+    for m in multiplicities:
+        if current is None:
+            if m % 2 == 1:
+                current = (m,)
+            else:
+                closed += ((m,),)  # isolated tangency in the positive region
+        else:
+            current += (m,)
+            if m % 2 == 1:
+                closed, current = closed + (current,), None
+    return closed, current
+
+
 def segment_patterns(multiplicities):
     """Trajectory patterns cut out by a real-rooted monic model polynomial.
 
@@ -102,23 +117,11 @@ def segment_patterns(multiplicities):
     if odd_count % 2 == 1:
         raise ValueError("odd number of odd-multiplicity roots: "
                          "not realizable by an even-degree polynomial")
-    out = []
-    current = None  # open component, gathering multiplicities
-    for m in ms:
-        if current is None:
-            if m % 2 == 1:
-                current = [m]
-            else:
-                out.append((m,))  # isolated tangency in the positive region
-        else:
-            current.append(m)
-            if m % 2 == 1:
-                out.append(tuple(current))
-                current = None
+    out, current = _segment(((), None), ms)
     assert current is None
     for p in out:
         assert is_admissible(p), p
-    return out
+    return list(out)
 
 
 def _compositions(total: int):
@@ -138,19 +141,19 @@ def resolutions(pattern):
     Each entry m can shed c >= 0 complex pairs and split the remaining
     m - 2c into any ordered composition of positive multiplicities; the
     concatenation (root order is preserved under small perturbations)
-    is then segmented.  Returns the deduplicated set of tuples of Patterns.
+    is then segmented.  Segmentation reads left to right, so the set is
+    built entry by entry: each entry's options advance every distinct
+    segmentation state so far, as segmenting every choice of one option
+    per entry would.  Returns the deduplicated set of tuples of Patterns.
     """
-    p = check_pattern(pattern)
-    per_entry = []
-    for m in p:
-        options = []
-        for c in range(m // 2 + 1):
-            options.extend(_compositions(m - 2 * c))
-        per_entry.append(options)
-    out = set()
-    for choice in product(*per_entry):
-        seq = tuple(m for part in choice for m in part)
-        out.add(tuple(segment_patterns(seq)))
+    states = {((), None)}
+    for m in check_pattern(pattern):
+        options = [part for c in range(m // 2 + 1) for part in _compositions(m - 2 * c)]
+        states = {_segment(state, part) for state in states for part in options}
+    assert all(current is None for _, current in states)  # the norm is even
+    out = {closed for closed, _ in states}
+    for p in {p for seq in out for p in seq}:
+        assert is_admissible(p), p
     return out
 
 
@@ -166,14 +169,9 @@ class PatternPoset:
             raise ValueError("poset enumeration capped at n = 6")
         self.n = n
         self.elements = enumerate_patterns(n)
-        rel = set()
-        for deep in self.elements:
-            for seq in resolutions(deep):
-                for shallow in seq:
-                    if shallow != deep:
-                        rel.add((deep, shallow))
-        self.relations = rel
-        for deep, shallow in rel:
+        self.relations = {(deep, shallow) for deep in self.elements
+                          for seq in resolutions(deep) for shallow in seq if shallow != deep}
+        for deep, shallow in self.relations:
             assert reduced_norm(deep) > reduced_norm(shallow), (deep, shallow)
 
     def to_dot(self) -> str:

@@ -1,18 +1,19 @@
 """SVG export of scenes: boundary curves, tangency data, tinted slabs.
 
-Boundary curves are drawn by marching squares over exact grid values: each
-value is the correctly rounded float of the rational F(x, y) at a rational
-sample point, computed from the component's stored integer form L * F by
-the column evaluation that ``BoundaryComponent.side_sign`` uses.
+Boundary curves are drawn by marching squares over exact grid values: the
+integers D * F(x, y) at rational sample points, one positive D per curve,
+from the component's stored integer form L * F.  Integer sign masks find the
+cells where the sign changes; only at their corners is the float of F formed,
+as one correctly rounded int / int division (see ``_grid_values``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .geometry import trajectory_line
-from .polys import zp_eval_hom
 
 SLAB_COLORS = ["#cfe8ff", "#ffe2c9", "#d9f2d0", "#f2d0e8", "#fff3b8",
                "#d0f0f2", "#e3d5ff", "#ffd6d6", "#e0e0c8", "#c8e0dc"]
@@ -23,65 +24,76 @@ def _grid(start, step, n):
     return [Fraction(start + k * step).limit_denominator(10**6) for k in range(n + 1)]
 
 
-def _grid_values(G, L, xs, ys):
-    """vals[i][j] == float(F(xs[i], ys[j])) exactly, for rational xs and ys,
-    where G = L * F is a curve's stored form (``geometry.curve_from_terms``).
+def _grid_values(curves, xs, ys):
+    """(D, cols) per curve ``(G, L)``, G = L * F as stored by
+    ``geometry.curve_from_terms``: integers cols[i][j] == D * F(xs[i], ys[j]).
 
-    With common denominators qx of the xs and qy of the ys,
-    N = L * qx^degx * qy^degy * F(x, y) is an integer: ``column_values``
-    collapses G at x into integer coefficients of a polynomial in y, and
-    ``polys.zp_eval_hom`` (homogeneous Horner) evaluates it at every y of
-    the column.  N / D with D = L * qx^degx * qy^degy is one int / int true
-    division, which Python rounds correctly, as Fraction.__float__ does; so
-    each value equals the float of F(x, y) evaluated in Fraction arithmetic
-    bit for bit, and a sample point on the curve gives exactly 0.0.
+    With qx, qy the common denominators of the xs and ys and d the largest
+    s-degree in curves, D = L * qx^degx * qy^d.  ``column_values`` collapses
+    G at x into integer coefficients of a polynomial in y; its dot product
+    with the row Y^k * qy^(d - k), k = 0..d, of y = Y / qy (one table for all
+    curves) is N = D * F(x, y).  N / D, formed only at the corners of cells
+    where the sign changes, is one int / int true division, which Python
+    rounds correctly, as Fraction.__float__ does: the float of F(x, y) in
+    Fraction arithmetic bit for bit, and 0.0 on the curve.
     """
     qx = lcm(*(x.denominator for x in xs))
     qy = lcm(*(y.denominator for y in ys))
-    D = L * qx ** G.degree_c() * qy ** G.degree_s()
-    Ys = [y.numerator * (qy // y.denominator) for y in ys]
-    vals = []
-    for x in xs:
-        col = G.column_values(x.numerator * (qx // x.denominator), qx)
-        vals.append([zp_eval_hom(col, Y, qy) / D for Y in Ys])
-    return vals
+    d = max(G.degree_s() for G, _ in curves)
+    rows = [[(y.numerator * (qy // y.denominator)) ** k * qy ** (d - k) for k in range(d + 1)]
+            for y in ys]
+    for G, L in curves:
+        cols = (G.column_values(x.numerator * (qx // x.denominator), qx) for x in xs)
+        yield L * qx ** G.degree_c() * qy ** d, [[sum(map(mul, col, row)) for row in rows]
+                                                for col in cols]
 
 
-def _marching_segments(G, L, bbox, n=160):
-    """Zero-set line segments of F = G / L on an n x n grid (floats; drawing only).
+def _marching_segments(curves, bbox, n=160):
+    """Zero-set line segments of each F = G / L of curves, ``(G, L)`` pairs,
+    on one n x n grid over bbox (floats; drawing only), curve after curve.
 
-    The grid values are exact: see _grid_values.
+    A mask per grid column with byte j = 1 where N < lo (see _grid_values)
+    finds the cells with a sign change by XORs of masks and their one-byte
+    shifts.  lo = -(D >> 1075) is 0 unless N / D can round to -0.0,
+    so N < lo exactly when the float is negative.  Floats N / D are formed
+    only at the corners of those cells, and equal those of the Fraction F.
     """
     x0, x1, y0, y1 = (float(v) for v in bbox)
     dx, dy = (x1 - x0) / n, (y1 - y0) / n
-    vals = _grid_values(G, L, _grid(x0, dx, n), _grid(y0, dy, n))
+    cells = int.from_bytes(bytes([1] * n), "little")
     segs = []
 
     def interp(xa, ya, va, xb, yb, vb):
         t = va / (va - vb)
         return (xa + t * (xb - xa), ya + t * (yb - ya))
 
-    neg = [[v < 0 for v in row] for row in vals]
-    for i in range(n):
-        for j in range(n):
-            if neg[i][j] == neg[i + 1][j] == neg[i + 1][j + 1] == neg[i][j + 1]:
-                continue  # no sign change on any edge of this cell
-            corners = [
-                (x0 + i * dx, y0 + j * dy, vals[i][j]),
-                (x0 + (i + 1) * dx, y0 + j * dy, vals[i + 1][j]),
-                (x0 + (i + 1) * dx, y0 + (j + 1) * dy, vals[i + 1][j + 1]),
-                (x0 + i * dx, y0 + (j + 1) * dy, vals[i][j + 1]),
-            ]
-            pts = []
-            for k in range(4):
-                xa, ya, va = corners[k]
-                xb, yb, vb = corners[(k + 1) % 4]
-                if (va < 0) != (vb < 0):
-                    pts.append(interp(xa, ya, va, xb, yb, vb))
-            if len(pts) >= 2:
-                segs.append((pts[0], pts[1]))
-            if len(pts) == 4:
-                segs.append((pts[2], pts[3]))
+    for D, cols in _grid_values(curves, _grid(x0, dx, n), _grid(y0, dy, n)):
+        lo = -(D >> 1075)
+        masks = [int.from_bytes(bytes(map(lo.__gt__, col)), "little") for col in cols]
+        for i in range(n):
+            # bottom, top and left edges; the right one never changes sign alone
+            h, a = masks[i] ^ masks[i + 1], masks[i]
+            live = (h | h >> 8 | a ^ a >> 8) & cells
+            while live:
+                low = live & -live
+                live ^= low
+                j = low.bit_length() >> 3
+                corners = [
+                    (x0 + i * dx, y0 + j * dy, cols[i][j] / D),
+                    (x0 + (i + 1) * dx, y0 + j * dy, cols[i + 1][j] / D),
+                    (x0 + (i + 1) * dx, y0 + (j + 1) * dy, cols[i + 1][j + 1] / D),
+                    (x0 + i * dx, y0 + (j + 1) * dy, cols[i][j + 1] / D),
+                ]
+                pts = []
+                for k in range(4):
+                    xa, ya, va = corners[k]
+                    xb, yb, vb = corners[(k + 1) % 4]
+                    if (va < 0) != (vb < 0):
+                        pts.append(interp(xa, ya, va, xb, yb, vb))
+                if len(pts) >= 2:
+                    segs.append((pts[0], pts[1]))
+                if len(pts) == 4:
+                    segs.append((pts[2], pts[3]))
     return segs
 
 
@@ -157,9 +169,8 @@ def scene_svg(scene, graph=None) -> str:
             elif band:
                 poly = [p for p, _ in band] + [p for _, p in reversed(band)]
                 canvas.polygon(poly, color)
-    for comp in scene.components:
-        for a, b in _marching_segments(comp.curve, comp.lcd, scene.bbox):
-            canvas.line(a, b, "#222222", width=1.4)
+    for a, b in _marching_segments([(c.curve, c.lcd) for c in scene.components], scene.bbox):
+        canvas.line(a, b, "#222222", width=1.4)
     if graph is not None:
         for v in graph.vertices:
             line = trajectory_line(scene.field, v.event.parameter, v.event.chart, q)

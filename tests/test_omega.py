@@ -1,8 +1,12 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trajspace.omega import (
+    _compositions,
     build_poset,
+    check_pattern,
     enumerate_patterns,
     export_hasse_dot,
     format_pattern,
@@ -131,6 +135,32 @@ def test_resolutions_reduced_norm_decreasing(pattern):
             assert is_admissible(p)
             if seq != own:
                 assert reduced_norm(p) < reduced_norm(pattern)
+
+
+def product_resolutions(pattern):
+    """Reference: segment every choice of one split option per entry."""
+    p = check_pattern(pattern)
+    per_entry = []
+    for m in p:
+        options = []
+        for c in range(m // 2 + 1):
+            options.extend(_compositions(m - 2 * c))
+        per_entry.append(options)
+    out = set()
+    for choice in product(*per_entry):
+        seq = tuple(m for part in choice for m in part)
+        out.add(tuple(segment_patterns(seq)))
+    return out
+
+
+# every pattern of the n = 6 poset, and the 30 of norm <= 8 that the oracle runs
+ENTRY_CASES = sorted(set(enumerate_patterns(6))
+                     | {p for p in enumerate_patterns(7) if norm(p) <= 8})
+
+
+@pytest.mark.parametrize("pattern", ENTRY_CASES, ids=format_pattern)
+def test_resolutions_equal_product_of_options(pattern):
+    assert resolutions(pattern) == product_resolutions(pattern)
 
 
 def test_poset_n1_relations():

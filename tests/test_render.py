@@ -82,7 +82,8 @@ def grids(draw):
 
 
 def assert_grid_exact(F, xs, ys):
-    got = render._grid_values(*curve_from_terms(F), xs, ys)
+    [(D, cols)] = render._grid_values([curve_from_terms(F)], xs, ys)
+    got = [[N / D for N in col] for col in cols]
     # bit for bit against Fraction evaluation: hex() also tells 0.0 from -0.0
     assert [[v.hex() for v in row] for row in got] == \
         [[float(eval_terms(F, x, y)).hex() for y in ys] for x in xs]
@@ -117,6 +118,94 @@ def test_grid_values_mixed_denominators():
     F = {(2, 0): Fraction(1, 3), (0, 2): Fraction(5, 7), (1, 1): Fraction(-2, 9),
          (0, 0): Fraction(-11, 13), (3, 1): Fraction(1, 6)}
     assert_grid_exact(F, xs, ys)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(bipolys(max_degree=5), min_size=2, max_size=3), grids())
+def test_grid_values_one_table_for_curves_of_any_degree(Fs, axes):
+    # the y table is built for the largest s-degree; every curve's N / D
+    # is still exactly its own D * F / D
+    xs, ys = axes
+    got = list(render._grid_values([curve_from_terms(F) for F in Fs], xs, ys))
+    assert len(got) == len(Fs)
+    for F, (D, cols) in zip(Fs, got):
+        assert D > 0
+        assert cols == [[eval_terms(F, x, y) * D for y in ys] for x in xs]
+
+
+# --- marching squares against the four-corner cell loop -----------------------
+
+def reference_segments(F, bbox, n):
+    """Marching squares as a loop over all n x n cells, on floats of F
+    evaluated in Fraction arithmetic."""
+    x0, x1, y0, y1 = (float(v) for v in bbox)
+    dx, dy = (x1 - x0) / n, (y1 - y0) / n
+    vals = [[float(eval_terms(F, x, y)) for y in render._grid(y0, dy, n)]
+            for x in render._grid(x0, dx, n)]
+    segs = []
+
+    def interp(xa, ya, va, xb, yb, vb):
+        t = va / (va - vb)
+        return (xa + t * (xb - xa), ya + t * (yb - ya))
+
+    neg = [[v < 0 for v in row] for row in vals]
+    for i in range(n):
+        for j in range(n):
+            if neg[i][j] == neg[i + 1][j] == neg[i + 1][j + 1] == neg[i][j + 1]:
+                continue  # no sign change on any edge of this cell
+            corners = [
+                (x0 + i * dx, y0 + j * dy, vals[i][j]),
+                (x0 + (i + 1) * dx, y0 + j * dy, vals[i + 1][j]),
+                (x0 + (i + 1) * dx, y0 + (j + 1) * dy, vals[i + 1][j + 1]),
+                (x0 + i * dx, y0 + (j + 1) * dy, vals[i][j + 1]),
+            ]
+            pts = []
+            for k in range(4):
+                xa, ya, va = corners[k]
+                xb, yb, vb = corners[(k + 1) % 4]
+                if (va < 0) != (vb < 0):
+                    pts.append(interp(xa, ya, va, xb, yb, vb))
+            if len(pts) >= 2:
+                segs.append((pts[0], pts[1]))
+            if len(pts) == 4:
+                segs.append((pts[2], pts[3]))
+    return segs
+
+
+@st.composite
+def marching_cases(draw):
+    """A bbox, a grid size and 1-3 curves, some through grid points."""
+    (x0, x1), (y0, y1) = (sorted(draw(st.lists(endpoint, min_size=2, max_size=2, unique=True)))
+                          for _ in range(2))
+    n = draw(st.integers(1, 12))
+    xs = render._grid(float(x0), (float(x1) - float(x0)) / n, n)
+    ys = render._grid(float(y0), (float(y1) - float(y0)) / n, n)
+    Fs = []
+    for G in draw(st.lists(bipolys(max_degree=4), min_size=1, max_size=3)):
+        if draw(st.booleans()):
+            a, b = draw(st.sampled_from(xs)), draw(st.sampled_from(ys))
+            G = mul_terms(mul_terms({(1, 0): 1, (0, 0): -a}, {(0, 1): 1, (0, 0): -b}), G)
+        Fs.append(G)
+    return (x0, x1, y0, y1), n, Fs
+
+
+@settings(max_examples=60, deadline=None)
+@given(marching_cases())
+def test_marching_segments_equal_cell_loop(case):
+    bbox, n, Fs = case
+    got = render._marching_segments([curve_from_terms(F) for F in Fs], bbox, n)
+    assert got == [seg for F in Fs for seg in reference_segments(F, bbox, n)]
+
+
+def test_marching_segments_value_rounding_to_negative_zero():
+    # -x^60 at x = k / 10^6 rounds to -0.0 for k = 1..4, which is not
+    # negative, so the zero set is drawn between k = 4 and k = 5
+    F = {(60, 0): -1}
+    assert float(-Fraction(4, 10**6) ** 60) == 0.0 > float(-Fraction(5, 10**6) ** 60)
+    bbox = (Fraction(0), Fraction(16, 10**6), Fraction(-1), Fraction(1))
+    got = render._marching_segments([curve_from_terms(F)], bbox, 16)
+    assert got == reference_segments(F, bbox, 16)
+    assert {round(x * 10**6, 6) for seg in got for x, _ in seg} == {4.0}
 
 
 # --- committed figures --------------------------------------------------------
