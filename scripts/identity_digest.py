@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print one sha256 per scene over its report, DOT and SVG, one over the
-Hasse DOT of the pattern poset and three over the sampling oracle.
+Hasse DOT of the pattern poset, three over the sampling oracle and one over
+the univariate kernel.
 
 Covers every fixture, degenerate fixture and tilted benchmark scene.  Each
 scene goes through `trajspace analyze --svg --dot` in process; the digest
@@ -27,7 +28,10 @@ samples, seed 0), which depend on root counting but on no scene.  At
 magnitude 1/1000 every sample passes the window certificate of
 `local_model` and is counted factor by factor; at magnitude 1/2 many
 samples fail it and take the expanded-product path, and at magnitude 3
-nearly all do.
+nearly all do.  The kernel line covers `realroots.sturm_chain` and
+`polys.zp_gcd` on seeded products of small integer factors raised to powers
+1-2, in pairs that share a factor, so that repeated and common factors are
+the rule (`kernel_digest`).
 Run it on two checkouts and diff the outputs to show that a change keeps
 every output byte for byte:
 
@@ -39,12 +43,15 @@ import hashlib
 import io
 import json
 import pathlib
+import random
 import sys
 import tempfile
 from fractions import Fraction
 
 from trajspace import local_model, omega
 from trajspace.cli import main as cli_main
+from trajspace.polys import zp, zp_gcd, zp_mul
+from trajspace.realroots import sturm_chain
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENE_DIRS = [ROOT / "fixtures", ROOT / "fixtures" / "degenerate",
@@ -150,6 +157,35 @@ def oracle_digest(magnitude):
     return h.hexdigest(), len(patterns)
 
 
+def kernel_digest(count=600, seed=0):
+    """sha256 over the Sturm chains and the gcd of ``count`` seeded pairs
+    p = s f_1^e_1 ... and q = s g_1^k_1 ..., with s and every factor of
+    degree 1-3 and coefficients in [-5, 5], one or two factors on each side
+    and powers 1-2."""
+    rng = random.Random(seed)
+
+    def factor():
+        while True:
+            f = zp(rng.randint(-5, 5) for _ in range(rng.randint(2, 4)))
+            if len(f) >= 2:
+                return f
+
+    def product(shared):
+        p = shared
+        for _ in range(rng.randint(1, 2)):
+            f = factor()
+            for _ in range(rng.randint(1, 2)):
+                p = zp_mul(p, f)
+        return p
+
+    h = hashlib.sha256()
+    for _ in range(count):
+        shared = factor()
+        p, q = product(shared), product(shared)
+        h.update(f"{p} {q} {sturm_chain(p)} {sturm_chain(q)} {zp_gcd(p, q)}\n".encode())
+    return h.hexdigest(), count
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         for d in SCENE_DIRS:
@@ -182,7 +218,9 @@ def main():
     digest, count = oracle_digest(Fraction(1, 2))
     print(f"{digest}  oracle: {count} patterns of norm <= 8, magnitude 1/2", flush=True)
     digest, count = oracle_digest(Fraction(3))
-    print(f"{digest}  oracle: {count} patterns of norm <= 8, magnitude 3")
+    print(f"{digest}  oracle: {count} patterns of norm <= 8, magnitude 3", flush=True)
+    digest, count = kernel_digest()
+    print(f"{digest}  kernel: Sturm chains and gcds of {count} pairs with shared factors")
     return 0
 
 

@@ -7,7 +7,7 @@ Subcommands:
   oracle           perturbation-sampling check of one pattern's resolutions
 
 Exit codes: 0 all checks pass, 2 the scene is not traversally generic,
-1 I/O, parse, or validation failure.
+1 I/O, parse, or validation failure, 3 an internal error or a spent budget.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from fractions import Fraction
 from . import __version__, local_model, omega, render, report, sweep, validate
 from .events import DegenerateScene
 from .geometry import SceneError, load_scene
+from .realroots import BudgetExceeded
 
 
 def _emit(doc, out_path):
@@ -211,7 +212,15 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (sweep.MatchingAmbiguous, BudgetExceeded) as exc:
+        code = "BUDGET" if isinstance(exc, BudgetExceeded) else "INTERNAL"
+        if args.command == "analyze":
+            _emit(_error_doc(code, str(exc)), args.out)
+        else:
+            sys.stderr.write(f"error: {code}: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -8,13 +8,13 @@ with one rational perturbation coordinate per (i, l).  Freezing the
 parameters and reading off the multiplicities of the real roots, in root
 order, gives the nearby trajectory patterns; sampling small random rational
 parameters is the numeric oracle that validates the combinatorial
-``resolutions``.  The oracle only counts (``ModelPolynomial.multiplicities``:
-a Sturm chain per factor); ``real_roots`` isolates the roots of the
-expanded product for callers that need the roots themselves.
+``resolutions``.  The oracle draws integers over one fixed denominator and
+only counts (a Sturm chain per factor); ``real_roots`` isolates the roots
+of the expanded product for callers that need the roots themselves.
 
 Counting works one factor at a time.  In y = u - i the i-th factor is
-g_i(y) = y^m + sum_l x_l y^l; cleared of denominators it is
-den*y^m + sum_l c_l y^l.  Window certificate: if sum_l |c_l| 2^(m-l) < den,
+g_i(y) = y^m + sum_l x_l y^l; over a common denominator den of the x_l it
+is den*y^m + sum_l c_l y^l.  Window certificate: if sum_l |c_l| 2^(m-l) < den,
 every root of g_i has |y| < 1/2, since for |y| >= 1/2
 
     |g_i(y)| >= |y|^m (1 - sum_l |x_l| 2^(m-l)) > 0.
@@ -57,21 +57,10 @@ class ModelPolynomial:
         self.parameters[(i, l)] = Fraction(value)
 
     def _factors(self):
-        """The factors in their shifted variables y = u - i, over ZZ.
-
-        Returns (den, [(i, g_i), ...]) where g_i = den*y^m + sum c_l y^l is
-        den times the i-th factor and den is the parameters' common
-        denominator.
-        """
+        """(den, ``_integer_factors``) over the parameters' common denominator."""
         den = lcm(*(x.denominator for x in self.parameters.values()))
-        factors = []
-        for i, m in enumerate(self.pattern, start=1):
-            g = [0] * m + [den]
-            for l in range(m - 1):
-                x = self.parameters[(i, l)]
-                g[l] = x.numerator * (den // x.denominator)
-            factors.append((i, tuple(g)))
-        return den, factors
+        return den, _integer_factors(self.pattern, den, iter(
+            [x.numerator * (den // x.denominator) for x in self.parameters.values()]))
 
     def coefficients(self):
         """Low-first Fraction coefficients of the expanded polynomial in u:
@@ -87,25 +76,34 @@ class ModelPolynomial:
 
     def multiplicities(self):
         """Multiplicities of the real roots of the current polynomial, in
-        increasing root order, counted without isolating the roots.
-
-        Factor by factor under the window certificate (module docstring),
-        a simple factor u - i giving [1]; otherwise from the expanded
-        product.
-        """
-        den, factors = self._factors()
-        if not _certified(den, factors):
-            return real_root_multiplicities(_expand(factors))
-        mults = []
-        for _, g in factors:
-            mults += [1] if len(g) == 2 else real_root_multiplicities(g)
-        return mults
+        increasing root order, counted without isolating the roots."""
+        return _multiplicities(*self._factors())
 
     def trajectory_patterns(self):
         """Patterns of the slices {model <= 0}, in increasing u order."""
-        mults = self.multiplicities()
-        assert sum(mults) % 2 == omega.norm(self.pattern) % 2, "complex roots must pair up"
-        return tuple(omega.segment_patterns(mults))
+        return tuple(omega.segment_patterns(self.multiplicities()))
+
+
+def _integer_factors(pattern, den, numerators):
+    """[(i, g_i), ...]: den times the factors in y = u - i, over ZZ, that is
+    g_i = den*y^m + sum_l c_l y^l with the c_l drawn from the iterator
+    ``numerators`` in parameter key order, (i, l) increasing."""
+    return [(i, tuple([next(numerators) for _ in range(m - 1)] + [0, den]))
+            for i, m in enumerate(pattern, start=1)]
+
+
+def _multiplicities(den, factors):
+    """``ModelPolynomial.multiplicities`` of ``_integer_factors``: factor by
+    factor under the window certificate (module docstring), a simple factor
+    u - i giving [1]; otherwise from the expanded product."""
+    if _certified(den, factors):
+        mults = []
+        for _, g in factors:
+            mults += [1] if len(g) == 2 else real_root_multiplicities(g)
+    else:
+        mults = real_root_multiplicities(_expand(factors))
+    assert sum(mults) % 2 == sum(len(g) - 1 for _, g in factors) % 2, "complex roots must pair up"
+    return mults
 
 
 def _certified(den, factors):
@@ -145,15 +143,16 @@ def sampled_patterns(pattern, sample_count: int, magnitude, seed: int = 0):
     if magnitude <= 0:
         raise ValueError("magnitude must be positive")
     rng = random.Random(seed)
-    model = ModelPolynomial(pattern)
-    keys = sorted(model.parameters)
     grid = 1000
+    # x = magnitude * n / grid over a fixed, not always least, denominator:
+    # positive scales change neither the certificate nor a primitive part
+    scale, den = magnitude.numerator, magnitude.denominator * grid
     observed = set()
     for _ in range(sample_count):
-        # each sample is drawn as it is used, in the order of the sorted keys
-        for k in keys:
-            model.parameters[k] = magnitude * Fraction(rng.randint(-grid, grid), grid)
-        observed.add(model.trajectory_patterns())
+        # each sample is drawn as it is used, in parameter key order
+        draws = iter([scale * rng.randint(-grid, grid) for _ in range(omega.reduced_norm(pattern))])
+        mults = _multiplicities(den, _integer_factors(pattern, den, draws))
+        observed.add(tuple(omega.segment_patterns(mults)))
     return observed
 
 

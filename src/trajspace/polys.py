@@ -13,9 +13,9 @@ power of d from step to step.  Its sign is the sign of p(n/d), so sign
 tests (``zp_sign_at``), Sturm variations and interval bounds never build a
 Fraction.
 
-Division never leaves ZZ.  Gcds and Sturm chains run a primitive
-polynomial remainder sequence: each remainder is the primitive part of a
-pseudo-remainder (``zp_prem``) whose scale |lc|^e is positive, so it equals
+Division never leaves ZZ.  Gcds and Sturm chains run one primitive
+polynomial remainder sequence (``zp_prs``): each remainder (``zp_rem``) is
+the primitive part of a pseudo-remainder with a positive scale, so it equals
 the primitive part of the remainder over QQ, signs included (Collins,
 JACM 1967; Basu, Pollack, Roy, Algorithms in Real Algebraic Geometry,
 ch. 8).  Quotients by a primitive divisor are exact over ZZ by Gauss's
@@ -94,10 +94,7 @@ def zp_derivative(p: ZP) -> ZP:
 
 
 def zp_content(p: ZP) -> int:
-    g = 0
-    for c in p:
-        g = int_gcd(g, abs(c))
-    return g
+    return int_gcd(*p)
 
 
 def zp_primitive(p: ZP) -> ZP:
@@ -134,30 +131,36 @@ def zp_sign_at(p: ZP, x: Fraction) -> int:
     return (v > 0) - (v < 0)
 
 
-def zp_prem(p: ZP, q: ZP) -> ZP:
-    """Pseudo-remainder r with |lc(q)|^e * p = quo * q + r and deg r < deg q,
-    where e = max(deg p - deg q + 1, 0).
-
-    The scale is positive, so r is a positive multiple of the remainder over
-    QQ and has its signs; its primitive part is that remainder's.
-    """
+def zp_rem(p: ZP, q: ZP, unit: int = 1) -> ZP:
+    """unit (+-1) times the primitive part of the remainder of p by q over
+    QQ: one pseudo-division loop scales by |lc(q)| > 0 at each step, so its
+    remainder has the signs of the one over QQ, and then loses its content."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    if q[-1] < 0:
-        q = zp_neg(q)
     lc, dq = q[-1], len(q) - 1
+    if lc < 0:
+        lc, q = -lc, [-c for c in q]
     r = list(p)
-    e = max(len(r) - dq, 0)
     while len(r) > dq:
         top = r.pop()
         k = len(r) - dq
-        r = [c * lc for c in r]
-        for i in range(dq):
-            r[k + i] -= top * q[i]
-        e -= 1
-        while r and r[-1] == 0:
+        r[k:] = [c * lc - top * b for c, b in zip(r[k:], q)]
+        if k:
+            r[:k] = [c * lc for c in r[:k]]
+        while r and not r[-1]:
             r.pop()
-    return zp_scale(tuple(r), lc ** e)
+    g = unit * int_gcd(*r)
+    return tuple([c // g for c in r])
+
+
+def zp_prs(p: ZP, q: ZP):
+    """[p, q, -zp_rem(p, q), ...] up to the first zero remainder: for q = p'
+    the Sturm chain of p.  Its last nonzero entry is gcd(p, q) up to a constant."""
+    chain = [p, q]
+    while q and (r := zp_rem(p, q, -1)):
+        chain.append(r)
+        p, q = q, r
+    return chain
 
 
 def zp_divexact(p: ZP, q: ZP) -> ZP:
@@ -181,10 +184,9 @@ def zp_divexact(p: ZP, q: ZP) -> ZP:
 
 def zp_gcd(p: ZP, q: ZP) -> ZP:
     """Primitive gcd over ZZ (positive leading coefficient)."""
-    a, b = zp_primitive(p), zp_primitive(q)
-    while b:
-        a, b = b, zp_primitive(zp_prem(a, b))
-    return zp_neg(a) if a and a[-1] < 0 else a
+    *_, a, b = zp_prs(zp_primitive(p), zp_primitive(q))
+    g = b or a
+    return zp_neg(g) if g and g[-1] < 0 else g
 
 
 def zp_squarefree_part(p: ZP) -> ZP:

@@ -2,7 +2,7 @@
 
 Every question about real roots has one answer here:
 - how many: Sturm chains, primitive remainder sequences over ZZ whose
-  entries have the signs of the Sturm remainders over QQ (``zp_prem``).
+  entries have the signs of the Sturm remainders over QQ (``zp_prs``).
   ``real_root_multiplicities`` counts a square-free polynomial's roots from
   the chain's signs at -inf and +inf, and ``window_counts`` counts them in
   total, at or below one cut and strictly between two;
@@ -34,9 +34,9 @@ from .polys import (
     zp_eval_fr,
     zp_eval_hom,
     zp_gcd,
-    zp_neg,
-    zp_prem,
     zp_primitive,
+    zp_prs,
+    zp_rem,
     zp_sign_at,
     zp_squarefree_decomposition,
     zp_squarefree_part,
@@ -44,22 +44,17 @@ from .polys import (
 
 
 def sturm_chain(p: ZP):
-    """Sturm chain of an integer polynomial of degree >= 1.
-
-    It counts real roots when p is square-free; in any case its last entry
-    is gcd(p, p') up to a constant factor.
-    """
-    chain = [p, zp_derivative(p)]
-    while chain[-1]:
-        nr = zp_neg(zp_primitive(zp_prem(chain[-2], chain[-1])))
-        if not nr:
-            break
-        chain.append(nr)
-    return chain
+    """Sturm chain of an integer polynomial of degree >= 1: it counts real
+    roots when p is square-free; its last entry is gcd(p, p') up to a constant."""
+    return zp_prs(p, zp_derivative(p))
 
 
 # Refinement steps any one loop may take before it gives up
 REFINE_BUDGET = 4000
+
+
+class BudgetExceeded(RuntimeError):
+    """A refinement loop ran REFINE_BUDGET steps without an answer."""
 
 
 def sign_variations(values) -> int:
@@ -152,7 +147,7 @@ def isolate_real_roots(p: ZP):
                     break
             j += 1
         else:
-            raise RuntimeError("root isolation did not separate a rational root")
+            raise BudgetExceeded("root isolation did not separate a rational root")
         recurse(lo << (j - k), mid - eps, j, nlo, nml)
         recurse(mid + eps, hi << (j - k), j, nmr, nhi)
 
@@ -232,14 +227,11 @@ class AlgebraicNumber:
         but alpha and has no root of p at its ends, so g(alpha) = 0 exactly
         when g changes sign across the interval.
         """
-        if not q:
-            return 0
         if self.is_rational:
             return zp_sign_at(q, self.lo)
-        if len(q) >= len(self.poly):
-            q = zp_primitive(zp_prem(q, self.poly))
-            if not q:
-                return 0
+        q = zp_rem(q, self.poly)  # a positive multiple of q mod p
+        if not q:
+            return 0
         for step in range(REFINE_BUDGET):
             lo, hi = _poly_range(q, self.lo, self.hi)[:2]
             if lo > 0 or hi < 0:
@@ -251,7 +243,7 @@ class AlgebraicNumber:
             self.refine()
             if self.is_rational:
                 return zp_sign_at(q, self.lo)
-        raise RuntimeError("sign test did not converge")
+        raise BudgetExceeded("sign test did not converge")
 
     def nonvanishing_interval(self, qs, lo: Fraction, hi: Fraction):
         """Rationals a < alpha < b inside (lo, hi) on which no polynomial in
@@ -274,7 +266,7 @@ class AlgebraicNumber:
                                          for r in (_poly_range(q, a, b) for q in qs)):
                 return a, b
             self.refine()
-        raise RuntimeError("no interval clear of the polynomials' roots")
+        raise BudgetExceeded("no interval clear of the polynomials' roots")
 
     def equals(self, other: "AlgebraicNumber") -> bool:
         """Whether both are one number; if not, both are refined until their
@@ -296,7 +288,7 @@ class AlgebraicNumber:
                 return True
             self.refine()
             other.refine()
-        raise RuntimeError("algebraic equality test did not converge")
+        raise BudgetExceeded("algebraic equality test did not converge")
 
     def compare_rational(self, r: Fraction) -> int:
         return self.sign_of(zp([-r.numerator, r.denominator]))
@@ -315,7 +307,7 @@ class AlgebraicNumber:
                 if max(cands) - min(cands) <= width:
                     return min(cands), max(cands)
             self.refine()
-        raise RuntimeError("ratio interval did not converge")
+        raise BudgetExceeded("ratio interval did not converge")
 
     def __float__(self) -> float:
         if self.is_rational:
@@ -376,7 +368,7 @@ def separate(numbers) -> None:
     intervals are pairwise disjoint.
 
     Each pass refines both numbers of every overlapping pair once.  Raises
-    RuntimeError after REFINE_BUDGET passes (equal numbers never separate).
+    BudgetExceeded after REFINE_BUDGET passes (equal numbers never separate).
     """
     for _ in range(REFINE_BUDGET):
         done = True
@@ -388,7 +380,7 @@ def separate(numbers) -> None:
                     done = False
         if done:
             return
-    raise RuntimeError("isolating intervals did not separate")
+    raise BudgetExceeded("isolating intervals did not separate")
 
 
 def _poly_range(p: ZP, lo: Fraction, hi: Fraction):

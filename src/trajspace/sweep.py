@@ -20,6 +20,7 @@ trajectory from (K, j) to (K, j + 1), (121) otherwise.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -329,10 +330,17 @@ def _events_and_charts(scene):
 
 
 def _check_distinct_parameters(events):
+    # intervals only shrink, and equals() on irrationals whose intervals one
+    # sort finds disjoint returns without refining: those pairs are skipped
+    order = sorted(range(len(events)), key=lambda k: events[k].alpha.lo)
+    los = [events[k].alpha.lo for k in order]
+    near = {(min(i, j), max(i, j)) for x, i in enumerate(order)
+            for j in order[x + 1:bisect_left(los, events[i].alpha.hi)]}
     for i in range(len(events)):
         for j in range(i + 1, len(events)):
             a, b = events[i], events[j]
-            if a.chart != b.chart:
+            if a.chart != b.chart or not ((i, j) in near or a.alpha.is_rational
+                                          or b.alpha.is_rational):
                 continue
             if a.alpha.equals(b.alpha):
                 raise DegenerateScene(

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from trajspace import sweep
 from trajspace.cli import main
+from trajspace.realroots import BudgetExceeded
 
 from conftest import FIXTURES, TWO_OVALS, fixture_path
 
@@ -250,6 +252,37 @@ def test_export_validates_first(capsys, tmp_path):
     assert "bbox[outer]" in err
     assert "Traceback" not in err
     assert not svg.exists()
+
+
+def _raise(exc):
+    def build(scene):
+        raise exc
+    return build
+
+
+INTERNAL_FAILURES = [(sweep.MatchingAmbiguous("empty cell between sweep bounds"), "INTERNAL"),
+                     (BudgetExceeded("sign test did not converge"), "BUDGET")]
+
+
+@pytest.mark.parametrize("exc,code", INTERNAL_FAILURES)
+def test_analyze_internal_failure_is_one_json_error_exit_3(capsys, monkeypatch, exc, code):
+    monkeypatch.setattr(sweep, "build_trajectory_space", _raise(exc))
+    assert main(["analyze", fixture_path("disk.json")]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": code, "message": str(exc)}
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("exc,code", INTERNAL_FAILURES)
+def test_export_internal_failure_is_one_stderr_line_exit_3(capsys, monkeypatch, tmp_path,
+                                                           exc, code):
+    monkeypatch.setattr(sweep, "build_trajectory_space", _raise(exc))
+    dot = tmp_path / "g.dot"
+    assert main(["export", fixture_path("disk.json"), "--dot", str(dot)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {code}: {exc}\n"
+    assert not dot.exists()
 
 
 def test_export_dot_only(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,10 @@ from trajspace.local_model import (
     oracle_containment,
     sampled_patterns,
 )
-from trajspace.omega import enumerate_patterns, norm, resolutions
+from trajspace.omega import enumerate_patterns, norm, resolutions, segment_patterns
+from trajspace.polys import zp_add, zp_mul, zp_scale
+
+from conftest import zp_pow
 
 PATTERNS_TO_NORM_8 = [p for p in enumerate_patterns(7) if norm(p) <= 8]
 
@@ -88,6 +92,23 @@ def test_counted_multiplicities_match_the_isolated_roots(data):
     assert model.multiplicities() == [m for _, m in model.real_roots()]
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_coefficients_match_the_product_formula(data):
+    # prod_i [(u - i)^m_i + sum_l x_(i,l) (u - i)^l], expanded in Fractions
+    pattern = data.draw(st.sampled_from(PATTERNS_TO_NORM_8))
+    model = ModelPolynomial(pattern)
+    want = (Fraction(1),)
+    for i, m in enumerate(pattern, start=1):
+        factor = zp_pow((-i, 1), m)
+        for l in range(m - 1):
+            x = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=50))
+            model.set_parameter(i, l, x)
+            factor = zp_add(factor, zp_scale(zp_pow((-i, 1), l), x))
+        want = zp_mul(want, factor)
+    assert tuple(model.coefficients()) == want
+
+
 def test_counted_multiplicities_at_zero_parameters():
     # every factor (u - i)^m is a multiple root in its own window
     for pattern in PATTERNS_TO_NORM_8:
@@ -108,3 +129,17 @@ def test_fallback_when_roots_of_two_factors_meet():
     assert sp.roots(poly) == {1: 2, 3: 2}
     assert model.multiplicities() == [2, 2]
     assert model.trajectory_patterns() == ((2,), (2,))
+
+
+@pytest.mark.parametrize("magnitude", [Fraction(1, 1000), Fraction(1, 2), Fraction(3)])
+def test_sampled_patterns_match_the_model_on_the_same_draws(magnitude):
+    # the sampler's integer draws, replayed as Fractions through the model
+    for pattern in PATTERNS_TO_NORM_8:
+        rng = random.Random(4)
+        model = ModelPolynomial(pattern)
+        want = set()
+        for _ in range(40):
+            for key in sorted(model.parameters):
+                model.set_parameter(*key, magnitude * Fraction(rng.randint(-1000, 1000), 1000))
+            want.add(tuple(segment_patterns(model.multiplicities())))
+        assert sampled_patterns(pattern, 40, magnitude, seed=4) == want

@@ -13,15 +13,21 @@ from trajspace.polys import (
     zp_gcd,
     zp_mul,
     zp_neg,
-    zp_prem,
     zp_primitive,
+    zp_prs,
+    zp_rem,
     zp_scale,
     zp_shift,
     zp_sign_at,
     zp_squarefree_decomposition,
     zp_squarefree_part,
 )
-from trajspace.realroots import _poly_range, isolate_real_roots, sturm_chain
+from trajspace.realroots import (
+    _poly_range,
+    isolate_real_roots,
+    sturm_chain,
+    sturm_variations_at_inf,
+)
 
 from conftest import cleared, zp_pow
 
@@ -70,15 +76,21 @@ def qq_poly_range(p, lo, hi):
     return min(a, b) - bound * (hi - lo), max(a, b) + bound * (hi - lo)
 
 
-def qq_sturm_chain(p):
-    """Reference Sturm chain: remainders over QQ, each made primitive."""
-    chain = [p, zp_derivative(p)]
+def qq_prs(p, q):
+    """Reference remainder sequence: remainders over QQ, each made
+    primitive and negated, up to the first zero remainder."""
+    chain = [p, q]
     while chain[-1]:
         nr = zp_neg(cleared(qq_divmod(chain[-2], chain[-1])[1]))
         if not nr:
             break
         chain.append(nr)
     return chain
+
+
+def qq_sturm_chain(p):
+    """Reference Sturm chain: the QQ remainder sequence of p and p'."""
+    return qq_prs(p, zp_derivative(p))
 
 
 @st.composite
@@ -91,6 +103,20 @@ def repeated_factor_polys(draw):
         if len(f) >= 2:
             p = zp_mul(p, zp_pow(f, draw(st.integers(1, 3))))
     return p
+
+
+@st.composite
+def shared_factor_pairs(draw):
+    """Two ``repeated_factor_polys`` times one common factor of degree 1-3."""
+    shared = zp(draw(st.lists(st.integers(-5, 5), min_size=2, max_size=4)))
+    if len(shared) < 2:
+        shared = (1, 1)
+    return (zp_mul(shared, draw(repeated_factor_polys())),
+            zp_mul(shared, draw(repeated_factor_polys())))
+
+
+kernel_pairs = st.one_of(shared_factor_pairs(),
+                         st.tuples(repeated_factor_polys(), repeated_factor_polys()))
 
 
 def test_mul_eval_agree():
@@ -127,13 +153,11 @@ def test_shift_is_substitution_and_inverts(p, a, x):
 
 
 @given(small_polys, nonzero_polys)
-def test_prem_is_scaled_qq_remainder(a, b):
+def test_rem_is_primitive_qq_remainder(a, b):
     quo, rem = qq_divmod(a, b)
     x = Fraction(5, 3)
     assert zp_eval_fr(a, x) == zp_eval_fr(quo, x) * zp_eval_fr(b, x) + zp_eval_fr(rem, x)
-    e = max(len(a) - len(b) + 1, 0)
-    assert zp_prem(a, b) == tuple(c * abs(b[-1]) ** e for c in rem)
-    assert zp_primitive(zp_prem(a, b)) == cleared(rem)
+    assert zp_rem(a, b) == cleared(rem)
 
 
 @given(small_polys, nonzero_polys)
@@ -152,9 +176,33 @@ def test_divexact_rejects_inexact(a, b, r, k):
             zp_divexact(zp_mul(a, b), zp_scale(b, k))
 
 
-@given(chain_polys)
+nonconstant_repeated_factor_polys = repeated_factor_polys().filter(lambda p: len(p) > 1)
+
+
+@given(st.one_of(chain_polys, nonconstant_repeated_factor_polys))
+@settings(max_examples=200, deadline=None)
 def test_sturm_chain_matches_qq_reference(p):
     assert sturm_chain(p) == qq_sturm_chain(p)
+
+
+@given(nonconstant_repeated_factor_polys)
+@settings(max_examples=150, deadline=None)
+def test_sturm_chain_counts_sympy_real_roots(p):
+    sp = pytest.importorskip("sympy")
+    x = sp.symbols("x")
+    # the last entry is gcd(p, p'); on the square-free part the chain
+    # counts the distinct real roots
+    last = zp_primitive(sturm_chain(p)[-1])
+    assert (last if last[-1] > 0 else zp_neg(last)) == zp_gcd(p, zp_derivative(p))
+    sf = sturm_chain(zp_squarefree_part(p))
+    count = sturm_variations_at_inf(sf, -1) - sturm_variations_at_inf(sf, 1)
+    assert count == len(set(sp.Poly(p[::-1], x).real_roots()))
+
+
+@given(kernel_pairs)
+@settings(max_examples=150, deadline=None)
+def test_prs_matches_qq_reference(pair):
+    assert zp_prs(*pair) == qq_prs(*pair)
 
 
 def test_gcd_of_shared_factor():
@@ -191,14 +239,19 @@ def test_derivative_linear(p):
     assert lhs == rhs
 
 
-@given(repeated_factor_polys(), repeated_factor_polys())
-@settings(max_examples=60, deadline=None)
-def test_gcd_matches_sympy(p, q):
+@given(kernel_pairs)
+@settings(max_examples=150, deadline=None)
+def test_gcd_matches_sympy(pair):
     sp = pytest.importorskip("sympy")
     x = sp.symbols("x")
+    p, q = pair
     g = sp.gcd(sp.Poly(p[::-1], x), sp.Poly(q[::-1], x)).primitive()[1]
     want = tuple(int(c) for c in reversed(g.all_coeffs()))
-    assert zp_gcd(p, q) == (want if want[-1] > 0 else zp_neg(want))
+    want = want if want[-1] > 0 else zp_neg(want)
+    assert zp_gcd(p, q) == want
+    # the last entry of the remainder sequence is the gcd up to a constant
+    last = zp_primitive(zp_prs(p, q)[-1])
+    assert (last if last[-1] > 0 else zp_neg(last)) == want
 
 
 @given(repeated_factor_polys())
@@ -224,3 +277,4 @@ def test_isolation_matches_sympy_real_roots(p):
     for (lo, hi), r in zip(intervals, roots):
         lo, hi = sp.Rational(lo.numerator, lo.denominator), sp.Rational(hi.numerator, hi.denominator)
         assert lo == r == hi if lo == hi else lo < r < hi
+
