@@ -31,7 +31,10 @@ samples fail it and take the expanded-product path, and at magnitude 3
 nearly all do.  The kernel line covers `realroots.sturm_chain` and
 `polys.zp_gcd` on seeded products of small integer factors raised to powers
 1-2, in pairs that share a factor, so that repeated and common factors are
-the rule (`kernel_digest`).
+the rule (`kernel_digest`).  The subres line covers
+`bivar.sylvester_resultant` and the gcds and real-root counts of
+`bivar.SturmHabicht` on seeded pairs over Z[c] in every degree order, sparse
+and dense, at rational and quadratic parameters (`subres_digest`).
 Run it on two checkouts and diff the outputs to show that a change keeps
 every output byte for byte:
 
@@ -49,9 +52,10 @@ import tempfile
 from fractions import Fraction
 
 from trajspace import local_model, omega
+from trajspace.bivar import SPoly, SturmHabicht, sylvester_resultant
 from trajspace.cli import main as cli_main
-from trajspace.polys import zp, zp_gcd, zp_mul
-from trajspace.realroots import sturm_chain
+from trajspace.polys import zp, zp_add, zp_gcd, zp_mul
+from trajspace.realroots import AlgebraicNumber, isolate_real_roots, sturm_chain
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENE_DIRS = [ROOT / "fixtures", ROOT / "fixtures" / "degenerate",
@@ -186,6 +190,53 @@ def kernel_digest(count=600, seed=0):
     return h.hexdigest(), count
 
 
+def subres_digest(count=300, seed=0):
+    """sha256 over ``count`` seeded pairs P, Q in ZZ[c][s] with s-degrees
+    0-5 in every order, half of them sparse in s and a fifth sharing a factor
+    of s-degree 1-2: their resultant and, at a seeded rational and a seeded
+    quadratic alpha, the gcd degree and entry of the signed subresultant
+    sequence of both (larger s-degree first, each truncated at alpha) and the
+    real-root count of P(alpha, s)."""
+    rng = random.Random(seed)
+
+    def column(nonzero=False):
+        while True:
+            co = zp(rng.randint(-3, 3) for _ in range(rng.randint(1, 3)))
+            if co or not nonzero:
+                return co
+
+    def spoly(deg):
+        sparse = rng.random() < 0.5
+        return SPoly([column() if not sparse or rng.random() < 0.5 else ()
+                      for _ in range(deg)] + [column(nonzero=True)])
+
+    def times(P, F):
+        out = [()] * (len(P.coeffs) + len(F.coeffs))
+        for i, a in enumerate(P.coeffs):
+            for j, b in enumerate(F.coeffs):
+                out[i + j] = zp_add(out[i + j], zp_mul(a, b))
+        return SPoly(out)
+
+    h = hashlib.sha256()
+    for _ in range(count):
+        P, Q = spoly(rng.randint(0, 5)), spoly(rng.randint(0, 5))
+        if rng.random() < 0.2:
+            F = spoly(rng.randint(1, 2))
+            P, Q = times(P, F), times(Q, F)
+        h.update(f"{P.coeffs} {Q.coeffs} {sylvester_resultant(P, Q)}\n".encode())
+        d, b = rng.choice([2, 3, 5, 6, 7]), rng.randint(-2, 2)
+        quadratic = zp([b * b - d, -2 * b, 1])          # roots b +- sqrt(d)
+        for alpha in (AlgebraicNumber.from_rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3))),
+                      AlgebraicNumber(quadratic, *rng.choice(isolate_real_roots(quadratic)))):
+            A, B = P.truncated(alpha), Q.truncated(alpha)
+            if A.degree_s() < B.degree_s():
+                A, B = B, A
+            k, g = SturmHabicht(A, B).gcd(alpha)
+            roots = SturmHabicht(P).at(alpha).real_root_count(alpha)
+            h.update(f"{k} {g.coeffs} {roots}\n".encode())
+    return h.hexdigest(), count
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         for d in SCENE_DIRS:
@@ -220,7 +271,10 @@ def main():
     digest, count = oracle_digest(Fraction(3))
     print(f"{digest}  oracle: {count} patterns of norm <= 8, magnitude 3", flush=True)
     digest, count = kernel_digest()
-    print(f"{digest}  kernel: Sturm chains and gcds of {count} pairs with shared factors")
+    print(f"{digest}  kernel: Sturm chains and gcds of {count} pairs with shared factors",
+          flush=True)
+    digest, count = subres_digest()
+    print(f"{digest}  subres: resultants, gcds and root counts of {count} pairs over Z[c]")
     return 0
 
 

@@ -7,17 +7,20 @@ least common denominator of F's coefficients, read along the vertical
 lines x = c (c = x, s = y).  ``substitute_line_family`` composes it with
 another family by Horner's rule in ZZ[c][s]; ``SPoly.at_param`` and
 ``SPoly.at_s`` specialise it at a rational c or s without building a
-Fraction.  Subresultants w.r.t. s, the resultant among them, are
-determinants of Sylvester submatrices whose entries are ZPs in c, taken
-with Bareiss fraction-free elimination.  The signed subresultant sequence
-of a pair P, Q decides how P(alpha, s) and Q(alpha, s) meet at a real
-algebraic alpha (their gcd, a common real root, for Q = dP/ds the number of
-real roots of P) through signs of integer polynomials at alpha.
+Fraction.  All subresultants of a pair P, Q w.r.t. s, the resultant
+among them, come from one subresultant remainder sequence over ZZ[c][s]:
+pseudo-remainders divided exactly by the known factors, with Lazard's step
+across degree gaps (Ducos, "Optimizations of the subresultant algorithm",
+JPAA 2000).  The signed subresultant sequence of the pair decides how
+P(alpha, s) and Q(alpha, s) meet at a real algebraic alpha (their gcd, a
+common real root, for Q = dP/ds the number of real roots of P) through
+signs of integer polynomials at alpha.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import zip_longest
 
 from .polys import (
@@ -32,7 +35,6 @@ from .polys import (
     zp_neg,
     zp_primitive,
     zp_scale,
-    zp_sub,
 )
 from .realroots import sign_variations
 
@@ -138,70 +140,66 @@ def substitute_line_family(F: SPoly, X: SPoly, Y: SPoly, m: int) -> SPoly:
     return SPoly([tuple(v // g for v in co) for co in acc])
 
 
-def subresultant(P: SPoly, Q: SPoly, j: int) -> SPoly:
-    """The j-th subresultant of P and Q in s, for j < min(deg P, deg Q) or j = 0.
+def _neg_prem(A: SPoly, B: SPoly) -> SPoly:
+    """prem(A, -B) = (-lc B)^(deg A - deg B + 1) A mod B in ZZ[c][s]."""
+    nb, n = zp_neg(B.coeffs[-1]), B.degree_s()
+    r = list(A.coeffs)
+    for k in range(len(r) - n - 1, -1, -1):
+        top = r.pop()
+        r = [zp_mul(co, nb) for co in r]
+        for i, co in enumerate(B.coeffs[:-1]):
+            r[k + i] = zp_add(r[k + i], zp_mul(top, co))
+    return SPoly(r)
 
-    Its s^i coefficient is the determinant of the Sylvester submatrix made of
-    the rows of s^(deg Q - j - 1) P, ..., P, s^(deg P - j - 1) Q, ..., Q, the
-    first deg P + deg Q - 2j - 1 columns and the column of s^i.  One
-    fraction-free elimination of the shared columns yields all j + 1 of them.
-    """
-    m, n = P.degree_s(), Q.degree_s()
-    width = m + n - j
-    rows = [_shifted_row(P, r, width) for r in range(n - j)]
-    rows += [_shifted_row(Q, r, width) for r in range(m - j)]
-    return SPoly(reversed(_bareiss_bordered(rows)))
+
+def _power(p: ZP, n: int) -> ZP:
+    return reduce(zp_mul, [p] * n, (1,))
+
+
+def _subresultants(P: SPoly, Q: SPoly) -> dict:
+    """{j: S_j} for the nonzero subresultants of P and Q in s with j < deg Q,
+    deg P >= deg Q >= 1, in one remainder sequence over ZZ[c][s] (Ducos,
+    JPAA 2000, with Lazard's step across degree gaps); for deg Q = 0,
+    S_0 = Q^deg P.  Every division is exact."""
+    d = Q.degree_s()
+    if d == 0:
+        return {0: SPoly([_power(Q.coeffs[0], P.degree_s())])}
+    A, B, s = Q, _neg_prem(P, Q), _power(Q.coeffs[-1], P.degree_s() - d)
+    S = {}
+    while B.coeffs:
+        e = B.degree_s()
+        S[d - 1] = C = B
+        if d - e > 1:
+            # Lazard: S_e = lc(B)^(d-e-1) B / s^(d-e-1), one exact division a step
+            x = lc = B.coeffs[-1]
+            for _ in range(d - e - 2):
+                x = zp_divexact(zp_mul(x, lc), s)
+            S[e] = C = SPoly([zp_divexact(zp_mul(x, co), s) for co in B.coeffs])
+        if e == 0:
+            break
+        den = zp_mul(_power(s, d - e), A.coeffs[-1])
+        B = SPoly([zp_divexact(co, den) for co in _neg_prem(A, B).coeffs])
+        A, d, s = C, e, C.coeffs[-1]
+    return S
 
 
 def sylvester_resultant(P: SPoly, Q: SPoly) -> ZP:
-    """Res_s(P, Q) as a ZP in c: the subresultant of index 0."""
+    """Res_s(P, Q) as a ZP in c: S_0 of the subresultant pass, () when P or
+    Q is zero."""
     m, n = P.degree_s(), Q.degree_s()
-    if m < 0 or n < 0:
-        return ()
-    if m + n == 0:
-        return (1,)
-    return subresultant(P, Q, 0).coeff(0)
-
-
-def _shifted_row(P: SPoly, r: int, width: int):
-    row = [()] * width
-    for k, c in enumerate(reversed(P.coeffs)):
-        row[r + k] = c
-    return row
-
-
-def _bareiss_bordered(M):
-    """Fraction-free elimination over ZZ[c] of the first n - 1 columns of an
-    n-row matrix.  Returns the last row from column n - 1 on: by Sylvester's
-    identity its entry k is the determinant of the first n - 1 columns
-    bordered by column n - 1 + k (for a square matrix, [det M])."""
-    n = len(M)
-    M = [row[:] for row in M]
-    sign = 1
-    prev = (1,)
-    for k in range(n - 1):
-        if not M[k][k]:
-            piv = next((r for r in range(k + 1, n) if M[r][k]), None)
-            if piv is None:
-                return [()] * (len(M[0]) - n + 1)
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, len(M[i])):
-                num = zp_sub(zp_mul(M[i][j], M[k][k]), zp_mul(M[i][k], M[k][j]))
-                M[i][j] = zp_divexact(num, prev) if num else ()
-        prev = M[k][k]
-    last = M[n - 1][n - 1:]
-    return last if sign > 0 else [zp_neg(c) for c in last]
+    if m < n:
+        res = sylvester_resultant(Q, P)
+        return zp_neg(res) if m * n % 2 else res
+    return SturmHabicht(P, Q).resultant
 
 
 class SturmHabicht:
     """Signed subresultant sequence of P and Q in s over ZZ[c], deg P >= deg Q;
     Q defaults to dP/ds.
 
-    P and Q head it.  Entry j < deg Q is (-1)^((p-j)(p-j-1)/2), p = deg P,
-    times the j-th subresultant; entry 0 is the resultant ``res`` up to sign.
-    Entries are built on first use.
+    P and Q head it.  ``entries[j]``, j < deg Q, is (-1)^((p-j)(p-j-1)/2),
+    p = deg P, times the j-th subresultant (zero across a degree gap), and
+    ``resultant`` is Res_s(P, Q); one remainder sequence yields them all.
 
     At a real algebraic alpha where P and Q keep their s-degrees (see
     ``SPoly.truncated``), the entries specialise to the signed subresultants
@@ -216,20 +214,16 @@ class SturmHabicht:
         as for a Sturm sequence (``real_root_count``).
     """
 
-    def __init__(self, P: SPoly, Q: SPoly = None, res: ZP = None):
+    def __init__(self, P: SPoly, Q: SPoly = None):
         self.P = P
         self.Q = P.ds() if Q is None else Q
         self.p, self.q = P.degree_s(), self.Q.degree_s()
-        self._entries = {} if res is None else {0: self._signed(SPoly([res]), 0)}
-
-    def _signed(self, S: SPoly, j: int) -> SPoly:
-        e = self.p - j
-        return SPoly([zp_neg(c) for c in S.coeffs]) if e * (e - 1) // 2 % 2 else S
-
-    def __getitem__(self, j: int) -> SPoly:
-        if j not in self._entries:
-            self._entries[j] = self._signed(subresultant(self.P, self.Q, j), j)
-        return self._entries[j]
+        S = _subresultants(P, self.Q) if self.q >= 0 else {}
+        self.resultant = S[0].coeff(0) if 0 in S else ()
+        self.entries = []
+        for j in range(self.q):
+            Sj, e = S.get(j, SPoly([])), self.p - j
+            self.entries.append(SPoly(map(zp_neg, Sj.coeffs)) if e * (e - 1) // 2 % 2 else Sj)
 
     def at(self, alpha) -> "SturmHabicht":
         """This sequence of P and dP/ds, or that of P truncated at alpha."""
@@ -242,14 +236,14 @@ class SturmHabicht:
         nonzero at alpha, Q divides P; with Q zero at alpha, the gcd is P."""
         if self.q < 0:
             return self.p, self.P
-        for j in range(self.q):
-            if alpha.sign_of(self[j].coeff(j)) != 0:
-                return j, self[j]
+        for j, Sj in enumerate(self.entries):
+            if alpha.sign_of(Sj.coeff(j)) != 0:
+                return j, Sj
         return self.q, self.Q
 
     def real_root_count(self, alpha) -> int:
         """Distinct real roots of P(alpha, s), for Q = dP/ds."""
-        entries = [self.P, self.Q] + [self[j] for j in range(self.q - 1, -1, -1)]
+        entries = [self.P, self.Q] + self.entries[::-1]
         return (sign_variations([_sign_at_infinity(S, alpha, -1) for S in entries])
                 - sign_variations([_sign_at_infinity(S, alpha, 1) for S in entries]))
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bivar import SPoly, SturmHabicht, common_real_root, sylvester_resultant
+from .bivar import SPoly, SturmHabicht, common_real_root
 from .polys import zp_neg, zp_squarefree_part
 from .realroots import AlgebraicNumber, isolate_real_roots
 
@@ -95,12 +95,12 @@ def classify_parameter(seq: SturmHabicht, comp_idx: int, chart: int,
 def multiple_root_params(G: SPoly):
     """Square-free part of Res_s(G, G_s), its real roots, and the signed
     subresultant sequence of G; (None, [], None) when the resultant vanishes."""
-    res = sylvester_resultant(G, G.ds())
-    if not res:
+    seq = SturmHabicht(G)
+    if not seq.resultant:
         return None, [], None
-    rsf = zp_squarefree_part(res)
+    rsf = zp_squarefree_part(seq.resultant)
     params = [AlgebraicNumber(rsf, lo, hi) for lo, hi in isolate_real_roots(rsf)]
-    return rsf, params, SturmHabicht(G, res=res)
+    return rsf, params, seq
 
 
 def component_events(G: SPoly, comp_idx: int, chart: int,

@@ -6,7 +6,8 @@ from math import lcm
 import pytest
 
 from trajspace import geometry, homology, strata, sweep
-from trajspace.polys import zp, zp_mul, zp_primitive
+from trajspace.bivar import SPoly
+from trajspace.polys import zp, zp_divexact, zp_mul, zp_neg, zp_primitive, zp_sub
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -42,6 +43,46 @@ def zp_pow(p, n):
     for _ in range(n):
         out = zp_mul(out, p)
     return out
+
+
+def subresultant(P: SPoly, Q: SPoly, j: int) -> SPoly:
+    """Reference: the j-th subresultant of P and Q in s, for j < min(deg P,
+    deg Q) or j = 0, as a determinant.
+
+    Its s^i coefficient is the determinant of the Sylvester submatrix made of
+    the rows of s^(deg Q - j - 1) P, ..., P, s^(deg P - j - 1) Q, ..., Q, the
+    first deg P + deg Q - 2j - 1 columns and the column of s^i.  One
+    fraction-free (Bareiss) elimination of the shared columns over ZZ[c]
+    yields all j + 1 of them.
+    """
+    m, n = P.degree_s(), Q.degree_s()
+    width = m + n - j
+
+    def row(S, r):
+        out = [()] * width
+        for k, c in enumerate(reversed(S.coeffs)):
+            out[r + k] = c
+        return out
+
+    M = [row(P, r) for r in range(n - j)] + [row(Q, r) for r in range(m - j)]
+    # by Sylvester's identity, entry k of the last row from column h - 1 on,
+    # after eliminating the first h - 1 columns of the h rows, is the
+    # determinant of those columns bordered by column h - 1 + k
+    h, sign, prev = len(M), 1, (1,)
+    for k in range(h - 1):
+        if not M[k][k]:
+            piv = next((r for r in range(k + 1, h) if M[r][k]), None)
+            if piv is None:
+                return SPoly([])
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        for i in range(k + 1, h):
+            for col in range(k + 1, width):
+                num = zp_sub(zp_mul(M[i][col], M[k][k]), zp_mul(M[i][k], M[k][col]))
+                M[i][col] = zp_divexact(num, prev) if num else ()
+        prev = M[k][k]
+    last = M[h - 1][h - 1:]
+    return SPoly(reversed(last if sign > 0 else [zp_neg(c) for c in last]))
 
 
 def eval_terms(terms, x, y):

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from trajspace import realroots
-from trajspace.bivar import SPoly, SturmHabicht
+from trajspace.bivar import SPoly, SturmHabicht, sylvester_resultant
 from trajspace.polys import (
     zp,
     zp_add,
     zp_eval_fr,
     zp_mul,
     zp_neg,
+    zp_scale,
     zp_squarefree_part,
 )
 from trajspace.realroots import (
@@ -25,7 +26,7 @@ from trajspace.realroots import (
     window_counts,
 )
 
-from conftest import cleared, zp_pow
+from conftest import cleared, subresultant, zp_pow
 
 
 def poly_from_roots(roots):
@@ -509,12 +510,18 @@ def _scene_at_alpha(draw):
     return G, alpha
 
 
+def _sympy_expr(sp, S):
+    """S as a sympy expression in c and s."""
+    c, s = sp.symbols("c s")
+    return sum((sum(a * c**i for i, a in enumerate(co)) * s**k
+                for k, co in enumerate(S.coeffs)), sp.Integer(0))
+
+
 def _sympy_at(sp, S, alpha):
     """S(alpha, s) as a sympy Poly in s."""
     c, s = sp.symbols("c s")
-    expr = sum((sum(a * c**i for i, a in enumerate(co)) * s**k
-                for k, co in enumerate(S.coeffs)), sp.Integer(0))
-    return sp.Poly(sp.expand(expr.subs(c, _sympy_value(sp, alpha))), s, extension=True)
+    expr = _sympy_expr(sp, S).subs(c, _sympy_value(sp, alpha))
+    return sp.Poly(sp.expand(expr), s, extension=True)
 
 
 @pytest.mark.parametrize("P, Q", [
@@ -554,6 +561,60 @@ def test_subresultant_signs_match_sympy(case):
     sqf = sp.quo(g, gcd)
     roots = [r for r in sp.Poly(sqf, s).nroots(n=40) if abs(sp.im(r)) < 1e-25]
     assert seq.real_root_count(alpha) == len(roots)
+
+
+@st.composite
+def _spoly_pairs(draw):
+    """P and Q in ZZ[c][s] with s-degrees -1 to 5 in any order.  Half of
+    them are sparse in s, so that the remainder sequence skips degrees, and
+    a fifth of the pairs share a factor, so that it ends early."""
+    column = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(zp)
+
+    def spoly(deg):
+        sparse = draw(st.booleans())
+        cols = [draw(column) if not sparse or draw(st.booleans()) else () for _ in range(deg)]
+        return SPoly(cols + [draw(column.filter(bool))]) if deg >= 0 else SPoly([])
+
+    P, Q = spoly(draw(st.integers(-1, 5))), spoly(draw(st.integers(-1, 5)))
+    if draw(st.integers(0, 4)) == 0:
+        F = spoly(draw(st.integers(1, 2)))
+        P, Q = _spoly_mul(P, F), _spoly_mul(Q, F)
+    return P, Q
+
+
+_QUARTIC = SPoly([(-1, 0, 0, 0, 1), (), (), (), (1,)])     # x^4 + y^4 - 1
+
+
+@given(_spoly_pairs())
+@example((SPoly([(0, 1), (), (), (), (1,)]), SPoly([(), (), (), (1,)])))  # s^4 + c, s^3: gap of 3
+@example((SPoly([(1,), (0, 1), (1,)]), SPoly([(0, 1), (-1,), (2,)])))     # equal s-degrees
+@example((SPoly([(0, 1), (), (1,)]), SPoly([(2, 1)])))                    # deg Q = 0
+@example((SPoly([(0, 1), (), (1,)]), SPoly([])))                          # Q = 0
+@example((SPoly([(0, 1), (1,)]), SPoly([(-2,), (), (), (1,)])))           # deg P < deg Q, mn odd
+@example((SPoly([(0, -1), (1, -1), (1,)]), SPoly([(0, 2), (-2, -1), (1,)])))  # common s = c
+@example((_QUARTIC, _QUARTIC.ds()))
+@settings(max_examples=150, deadline=None)
+def test_subresultant_pass_matches_bareiss_and_sympy(pair):
+    sp = pytest.importorskip("sympy")
+    P, Q = pair
+    m, n = P.degree_s(), Q.degree_s()
+    res = sylvester_resultant(P, Q)
+    # sympy is asked with the larger s-degree first, where its sign is the
+    # Sylvester determinant's; Res(P, Q) = (-1)^(mn) Res(Q, P)
+    A, B, sign = (P, Q, 1) if m >= n else (Q, P, (-1) ** (m * n))
+    c, s = sp.symbols("c s")
+    expected = sp.Poly(sp.resultant(_sympy_expr(sp, A), _sympy_expr(sp, B), s), c)
+    assert res == zp_scale(zp(int(v) for v in reversed(expected.all_coeffs())), sign)
+    if min(m, n) >= 1:
+        assert res == subresultant(P, Q, 0).coeff(0)
+    if m >= n:
+        seq = SturmHabicht(P, Q)
+        assert seq.resultant == res
+        signed = []
+        for j in range(n):
+            S, e = subresultant(P, Q, j), m - j
+            signed.append([zp_neg(co) for co in S.coeffs] if e * (e - 1) // 2 % 2 else S.coeffs)
+        assert [S.coeffs for S in seq.entries] == signed
 
 
 # --- window counts by Sturm chains vs. isolation ----------------------------
