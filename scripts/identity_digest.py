@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print one sha256 per scene over its report, DOT and SVG, one over the
-Hasse DOT of the pattern poset, three over the sampling oracle and one over
-the univariate kernel.
+Hasse DOT of the pattern poset, three over the sampling oracle, one over
+the univariate kernel, one over the subresultant kernel and one over
+marching squares.
 
 Covers every fixture, degenerate fixture and tilted benchmark scene.  Each
 scene goes through `trajspace analyze --svg --dot` in process; the digest
@@ -21,10 +22,11 @@ wholly outside the box, a hole outside the outer curve, nested holes,
 overlapping holes, the nodal quartic and a radial centre in X), so it pins
 the bbox, hole, field and singularity checks' failure reports, and the
 bbox check's closed edge ends.  The poset line covers the Hasse DOT of the
-pattern poset for n = 0..6, which is read off ``omega.resolutions`` of every
-pattern of reduced norm <= 6.  The last three lines cover the
-oracle's observed pattern sets for all 30 patterns of norm <= 8 (200
-samples, seed 0), which depend on root counting but on no scene.  At
+pattern poset for n = 0..6, whose relations come from a fold over the open
+components of every pattern of reduced norm <= 6 (``omega._occurring``).
+The three oracle lines cover the oracle's observed pattern sets for all
+30 patterns of norm <= 8 (200 samples, seed 0), which depend on root
+counting but on no scene.  At
 magnitude 1/1000 every sample passes the window certificate of
 `local_model` and is counted factor by factor; at magnitude 1/2 many
 samples fail it and take the expanded-product path, and at magnitude 3
@@ -34,7 +36,11 @@ nearly all do.  The kernel line covers `realroots.sturm_chain` and
 the rule (`kernel_digest`).  The subres line covers
 `bivar.sylvester_resultant` and the gcds and real-root counts of
 `bivar.SturmHabicht` on seeded pairs over Z[c] in every degree order, sparse
-and dense, at rational and quadratic parameters (`subres_digest`).
+and dense, at rational and quadratic parameters (`subres_digest`).  The
+march line covers `render._marching_segments` on seeded curves with
+coefficients up to 2^80, whose grid slots are wider than a machine word,
+on square and non-square boxes and grid sizes, and on -x^60 near 0, where
+values round to -0.0 (`march_digest`).
 Run it on two checkouts and diff the outputs to show that a change keeps
 every output byte for byte:
 
@@ -51,9 +57,10 @@ import sys
 import tempfile
 from fractions import Fraction
 
-from trajspace import local_model, omega
+from trajspace import local_model, omega, render
 from trajspace.bivar import SPoly, SturmHabicht, sylvester_resultant
 from trajspace.cli import main as cli_main
+from trajspace.geometry import curve_from_terms
 from trajspace.polys import zp, zp_add, zp_gcd, zp_mul
 from trajspace.realroots import AlgebraicNumber, isolate_real_roots, sturm_chain
 
@@ -237,6 +244,35 @@ def subres_digest(count=300, seed=0):
     return h.hexdigest(), count
 
 
+MARCH_GRIDS = [((-4, 4, -4, 4), 160), ((-2, 2, -2, 2), 33), ((-3, 5, -1, 2), 64),
+               ((Fraction(-7, 3), Fraction(11, 5), Fraction(-3, 2), Fraction(7, 4)), 17)]
+
+
+def march_digest(count=24, seed=0):
+    """sha256 over ``render._marching_segments`` of ``count`` seeded lists of
+    1-3 curves of degree 1-6, numerators up to 2^80 of either sign over
+    denominators 1-9, on each box and grid size of MARCH_GRIDS (square and
+    not), and of -x^60 on (0, 16/10^6) x (-1, 1), where N / D is below the
+    least subnormal and rounds to -0.0."""
+    rng = random.Random(seed)
+
+    def terms():
+        deg = rng.randint(1, 6)
+        keys = [(i, j) for i in range(deg + 1) for j in range(deg + 1 - i)]
+        return {k: Fraction(rng.randint(-2**80, 2**80), rng.randint(1, 9))
+                for k in rng.sample(keys, rng.randint(1, min(8, len(keys))))}
+
+    h = hashlib.sha256()
+    for _ in range(count):
+        curves = [curve_from_terms(terms()) for _ in range(rng.randint(1, 3))]
+        for box, n in MARCH_GRIDS:
+            h.update(f"{render._marching_segments(curves, [Fraction(v) for v in box], n)}\n"
+                     .encode())
+    tiny = [curve_from_terms({(60, 0): -1})]
+    h.update(f"{render._marching_segments(tiny, (0, Fraction(16, 10**6), -1, 1), 16)}\n".encode())
+    return h.hexdigest(), count
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         for d in SCENE_DIRS:
@@ -274,7 +310,10 @@ def main():
     print(f"{digest}  kernel: Sturm chains and gcds of {count} pairs with shared factors",
           flush=True)
     digest, count = subres_digest()
-    print(f"{digest}  subres: resultants, gcds and root counts of {count} pairs over Z[c]")
+    print(f"{digest}  subres: resultants, gcds and root counts of {count} pairs over Z[c]",
+          flush=True)
+    digest, count = march_digest()
+    print(f"{digest}  march: marching squares on {count} seeded curve lists and -x^60")
     return 0
 
 

@@ -135,6 +135,12 @@ def _compositions(total: int):
     return out
 
 
+def _options(m: int):
+    """What one entry m can split into: shed c >= 0 complex pairs and split
+    the remaining m - 2c into an ordered composition of positive parts."""
+    return [part for c in range(m // 2 + 1) for part in _compositions(m - 2 * c)]
+
+
 def resolutions(pattern):
     """Pattern sequences realizable near the local model of ``pattern``.
 
@@ -148,7 +154,7 @@ def resolutions(pattern):
     """
     states = {((), None)}
     for m in check_pattern(pattern):
-        options = [part for c in range(m // 2 + 1) for part in _compositions(m - 2 * c)]
+        options = _options(m)
         states = {_segment(state, part) for state in states for part in options}
     assert all(current is None for _, current in states)  # the norm is even
     out = {closed for closed, _ in states}
@@ -157,11 +163,36 @@ def resolutions(pattern):
     return out
 
 
+def _occurring(pattern, transitions):
+    """The patterns that occur in the sequences of ``resolutions(pattern)``,
+    by a fold whose states are the open component alone.
+
+    transitions memoizes, per (current, m), the patterns that the options of
+    entry m emit from ``current`` and the set of next open components.
+    Options are never empty, so every state reached extends to a resolved
+    sequence holding what was emitted on the way: the union is exact.
+    """
+    found, currents = set(), {None}
+    for m in pattern:
+        after = set()
+        for current in currents:
+            if (current, m) not in transitions:
+                steps = [_segment(((), current), part) for part in _options(m)]
+                transitions[current, m] = ({p for closed, _ in steps for p in closed},
+                                           {nxt for _, nxt in steps})
+            emitted, nexts = transitions[current, m]
+            found |= emitted
+            after |= nexts
+        currents = after
+    return found
+
+
 class PatternPoset:
     """Patterns of reduced norm <= n with the degeneration order.
 
     relations holds (deep, shallow) pairs: ``shallow`` occurs in some
-    resolved sequence of ``deep``; reflexive pairs are excluded.
+    resolved sequence of ``deep``; reflexive pairs are excluded.  They come
+    from ``_occurring``, whose transitions the elements of one poset share.
     """
 
     def __init__(self, n: int):
@@ -169,8 +200,9 @@ class PatternPoset:
             raise ValueError("poset enumeration capped at n = 6")
         self.n = n
         self.elements = enumerate_patterns(n)
+        transitions = {}
         self.relations = {(deep, shallow) for deep in self.elements
-                          for seq in resolutions(deep) for shallow in seq if shallow != deep}
+                          for shallow in _occurring(deep, transitions) if shallow != deep}
         for deep, shallow in self.relations:
             assert reduced_norm(deep) > reduced_norm(shallow), (deep, shallow)
 

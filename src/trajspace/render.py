@@ -2,9 +2,12 @@
 
 Boundary curves are drawn by marching squares over exact grid values: the
 integers D * F(x, y) at rational sample points, one positive D per curve,
-from the component's stored integer form L * F.  Integer sign masks find the
-cells where the sign changes; only at their corners is the float of F formed,
-as one correctly rounded int / int division (see ``_grid_values``).
+from the component's stored integer form L * F.  Each grid column is one
+big integer whose fixed-width, biased byte slots hold the column's values,
+computed by one multiply-add per s-degree (see ``_grid_values``).  Sign
+masks read off the slots' top bytes find the cells where the sign changes;
+only at their corners is a slot decoded and the float of F formed, as one
+correctly rounded int / int division.
 """
 
 from __future__ import annotations
@@ -24,42 +27,68 @@ def _grid(start, step, n):
     return [Fraction(start + k * step).limit_denominator(10**6) for k in range(n + 1)]
 
 
+# 1 for the top bytes below 0x80, those of the slots where N < lo
+_BELOW = bytes(v < 0x80 for v in range(256))
+
+
 def _grid_values(curves, xs, ys):
-    """(D, cols) per curve ``(G, L)``, G = L * F as stored by
-    ``geometry.curve_from_terms``: integers cols[i][j] == D * F(xs[i], ys[j]).
+    """(D, t, off, cols) per curve ``(G, L)``, G = L * F as stored by
+    ``geometry.curve_from_terms``: the bytes cols[i] hold, in slot j of
+    t bytes (little-endian), N_ij + off for N_ij == D * F(xs[i], ys[j]).
 
     With qx, qy the common denominators of the xs and ys and d the largest
     s-degree in curves, D = L * qx^degx * qy^d.  ``column_values`` collapses
-    G at x into integer coefficients of a polynomial in y; its dot product
-    with the row Y^k * qy^(d - k), k = 0..d, of y = Y / qy (one table for all
-    curves) is N = D * F(x, y).  N / D, formed only at the corners of cells
-    where the sign changes, is one int / int true division, which Python
-    rounds correctly, as Fraction.__float__ does: the float of F(x, y) in
-    Fraction arithmetic bit for bit, and 0.0 on the curve.
+    G at x into integer coefficients col[k] of a polynomial in y, so that
+    N = sum_k col[k] * T_k[j] with T_k[j] = Y_j^k * qy^(d - k), y_j = Y_j / qy
+    (one table for all curves).  Packing T_k into P_k = sum_j T_k[j] 2^(8tj)
+    makes column i the one integer off * R + sum_k col_i[k] * P_k, with
+    R = sum_j 2^(8tj) (Kronecker substitution).  The bias off = 2^(8t-1) - lo,
+    lo = -(D >> 1075), and t is the least width with 2^(8t-1) above the bound
+    max_i sum_k |col_i[k]| * max_j |T_k[j]| + |lo|, so every slot lies in
+    [0, 2^(8t)) and none carries into the next.  N / D, formed only at the
+    corners of cells where the sign changes, is one int / int true division,
+    which Python rounds correctly, as Fraction.__float__ does: the float of
+    F(x, y) in Fraction arithmetic bit for bit, and 0.0 on the curve.
     """
     qx = lcm(*(x.denominator for x in xs))
     qy = lcm(*(y.denominator for y in ys))
     d = max(G.degree_s() for G, _ in curves)
-    rows = [[(y.numerator * (qy // y.denominator)) ** k * qy ** (d - k) for k in range(d + 1)]
-            for y in ys]
+    tables = [[(y.numerator * (qy // y.denominator)) ** k * qy ** (d - k) for y in ys]
+              for k in range(d + 1)]
+    tops = [max(map(abs, table)) for table in tables]
     for G, L in curves:
-        cols = (G.column_values(x.numerator * (qx // x.denominator), qx) for x in xs)
-        yield L * qx ** G.degree_c() * qy ** d, [[sum(map(mul, col, row)) for row in rows]
-                                                for col in cols]
+        D = L * qx ** G.degree_c() * qy ** d
+        lo = -(D >> 1075)
+        cols = [G.column_values(x.numerator * (qx // x.denominator), qx) for x in xs]
+        bound = max(sum(abs(c) * top for c, top in zip(col, tops)) for col in cols) - lo
+        t = bound.bit_length() // 8 + 1
+        half = 1 << (8 * t - 1)
+        R = int.from_bytes((b"\x01" + bytes(t - 1)) * len(ys), "little")
+        # where some col_i[k] != 0, |T_k[j]| <= bound < half, so T_k[j] + half
+        # fits t bytes unsigned; P_k is not needed for the other k
+        packs = [int.from_bytes(b"".join((v + half).to_bytes(t, "little") for v in table),
+                                "little") - half * R if any(col[k] for col in cols) else 0
+                 for k, table in enumerate(tables[:G.degree_s() + 1])]
+        off = half - lo
+        yield D, t, off, [(off * R + sum(map(mul, col, packs))).to_bytes(t * len(ys), "little")
+                          for col in cols]
 
 
 def _marching_segments(curves, bbox, n=160):
     """Zero-set line segments of each F = G / L of curves, ``(G, L)`` pairs,
     on one n x n grid over bbox (floats; drawing only), curve after curve.
 
-    A mask per grid column with byte j = 1 where N < lo (see _grid_values)
-    finds the cells with a sign change by XORs of masks and their one-byte
-    shifts.  lo = -(D >> 1075) is 0 unless N / D can round to -0.0,
-    so N < lo exactly when the float is negative.  Floats N / D are formed
-    only at the corners of those cells, and equal those of the Fraction F.
+    A mask per grid column with byte j = 1 where N < lo (see _grid_values),
+    read off the top byte of each slot, finds the cells with a sign change
+    by XORs of masks and their one-byte shifts.  lo = -(D >> 1075) is 0
+    unless N / D can round to -0.0, so N < lo exactly when the float is
+    negative.  Floats N / D are formed only at the corners of those cells,
+    and equal those of the Fraction F.
     """
     x0, x1, y0, y1 = (float(v) for v in bbox)
     dx, dy = (x1 - x0) / n, (y1 - y0) / n
+    xs = _grid(x0, dx, n)
+    ys = xs if (y0, dy) == (x0, dx) else _grid(y0, dy, n)
     cells = int.from_bytes(bytes([1] * n), "little")
     segs = []
 
@@ -67,9 +96,12 @@ def _marching_segments(curves, bbox, n=160):
         t = va / (va - vb)
         return (xa + t * (xb - xa), ya + t * (yb - ya))
 
-    for D, cols in _grid_values(curves, _grid(x0, dx, n), _grid(y0, dy, n)):
-        lo = -(D >> 1075)
-        masks = [int.from_bytes(bytes(map(lo.__gt__, col)), "little") for col in cols]
+    for D, t, off, cols in _grid_values(curves, xs, ys):
+        masks = [int.from_bytes(col[t - 1::t].translate(_BELOW), "little") for col in cols]
+
+        def value(i, j):
+            return (int.from_bytes(cols[i][t * j:t * j + t], "little") - off) / D
+
         for i in range(n):
             # bottom, top and left edges; the right one never changes sign alone
             h, a = masks[i] ^ masks[i + 1], masks[i]
@@ -79,10 +111,10 @@ def _marching_segments(curves, bbox, n=160):
                 live ^= low
                 j = low.bit_length() >> 3
                 corners = [
-                    (x0 + i * dx, y0 + j * dy, cols[i][j] / D),
-                    (x0 + (i + 1) * dx, y0 + j * dy, cols[i + 1][j] / D),
-                    (x0 + (i + 1) * dx, y0 + (j + 1) * dy, cols[i + 1][j + 1] / D),
-                    (x0 + i * dx, y0 + (j + 1) * dy, cols[i][j + 1] / D),
+                    (x0 + i * dx, y0 + j * dy, value(i, j)),
+                    (x0 + (i + 1) * dx, y0 + j * dy, value(i + 1, j)),
+                    (x0 + (i + 1) * dx, y0 + (j + 1) * dy, value(i + 1, j + 1)),
+                    (x0 + i * dx, y0 + (j + 1) * dy, value(i, j + 1)),
                 ]
                 pts = []
                 for k in range(4):

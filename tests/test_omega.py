@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from trajspace.omega import (
     _compositions,
+    _occurring,
     build_poset,
     check_pattern,
     enumerate_patterns,
@@ -166,6 +167,19 @@ def test_resolutions_equal_product_of_options(pattern):
 def test_poset_n1_relations():
     poset = build_poset(1)
     assert poset.relations == {((2,), (1, 1)), ((1, 2, 1), (1, 1))}
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_poset_relations_equal_patterns_of_resolutions(n):
+    poset = build_poset(n)
+    assert poset.relations == {(d, s) for d in poset.elements
+                               for seq in resolutions(d) for s in seq if s != d}
+
+
+@pytest.mark.parametrize("pattern", [p for p in enumerate_patterns(9) if norm(p) <= 10],
+                         ids=format_pattern)
+def test_fold_patterns_equal_patterns_of_resolutions(pattern):
+    assert _occurring(pattern, {}) == {p for seq in resolutions(pattern) for p in seq}
 
 
 def test_poset_n0():

@@ -81,13 +81,30 @@ def grids(draw):
     return axes
 
 
+def grid_numerators(curves, xs, ys):
+    """(D, t, N) per curve, N[i][j] decoded from slot j of packed column i;
+    checks that each slot's top bit is clear exactly where N < lo."""
+    out = []
+    for D, t, off, cols in render._grid_values(curves, xs, ys):
+        lo = -(D >> 1075)
+        assert all(len(col) == t * len(ys) for col in cols)
+        N = [[int.from_bytes(col[t * j:t * j + t], "little") - off for j in range(len(ys))]
+             for col in cols]
+        assert [[col[t * j + t - 1] < 0x80 for j in range(len(ys))] for col in cols] == \
+            [[v < lo for v in row] for row in N]
+        out.append((D, t, N))
+    return out
+
+
 def assert_grid_exact(F, xs, ys):
-    [(D, cols)] = render._grid_values([curve_from_terms(F)], xs, ys)
-    got = [[N / D for N in col] for col in cols]
+    [(D, t, N)] = grid_numerators([curve_from_terms(F)], xs, ys)
+    assert D > 0
+    assert N == [[eval_terms(F, x, y) * D for y in ys] for x in xs]
+    got = [[v / D for v in row] for row in N]
     # bit for bit against Fraction evaluation: hex() also tells 0.0 from -0.0
     assert [[v.hex() for v in row] for row in got] == \
         [[float(eval_terms(F, x, y)).hex() for y in ys] for x in xs]
-    return got
+    return t, got
 
 
 @settings(max_examples=60, deadline=None)
@@ -103,7 +120,7 @@ def test_grid_values_exact_zero_on_curve_through_grid_points(G, axes, data):
     a = data.draw(st.sampled_from(xs))
     b = data.draw(st.sampled_from(ys))
     F = mul_terms(mul_terms({(1, 0): 1, (0, 0): -a}, {(0, 1): 1, (0, 0): -b}), G)
-    vals = assert_grid_exact(F, xs, ys)
+    _, vals = assert_grid_exact(F, xs, ys)
     assert all(vals[xs.index(a)][j] == 0.0 for j in range(len(ys)))
     assert all(row[ys.index(b)] == 0.0 for row in vals)
 
@@ -126,11 +143,34 @@ def test_grid_values_one_table_for_curves_of_any_degree(Fs, axes):
     # the y table is built for the largest s-degree; every curve's N / D
     # is still exactly its own D * F / D
     xs, ys = axes
-    got = list(render._grid_values([curve_from_terms(F) for F in Fs], xs, ys))
+    got = grid_numerators([curve_from_terms(F) for F in Fs], xs, ys)
     assert len(got) == len(Fs)
-    for F, (D, cols) in zip(Fs, got):
+    for F, (D, _, N) in zip(Fs, got):
         assert D > 0
-        assert cols == [[eval_terms(F, x, y) * D for y in ys] for x in xs]
+        assert N == [[eval_terms(F, x, y) * D for y in ys] for x in xs]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), grids())
+def test_grid_slots_wider_than_a_machine_word(data, axes):
+    # 80- to 100-bit numerators of both signs need slots of more than 8 bytes
+    big = st.integers(2**80, 2**100).flatmap(lambda v: st.sampled_from([v, -v]))
+    keys = data.draw(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4))
+                             .filter(lambda k: sum(k) <= 4), min_size=2, max_size=6))
+    F = {k: Fraction(data.draw(big), data.draw(st.integers(1, 7))) for k in keys}
+    t, _ = assert_grid_exact(F, *axes)
+    assert t > 8
+
+
+def test_grid_values_below_negative_zero_threshold():
+    # -x^60 at x = k / 10^6: D > 2^1075, so lo != 0 and the bias carries it
+    F = {(60, 0): -1}
+    xs = render._grid(0.0, 1e-6, 16)
+    ys = render._grid(-1.0, 2 / 16, 16)
+    [(D, _, _)] = grid_numerators([curve_from_terms(F)], xs, ys)
+    assert D >> 1075
+    _, vals = assert_grid_exact(F, xs, ys)
+    assert [v.hex() for v in vals[4]] == ["-0x0.0p+0"] * len(ys)
 
 
 # --- marching squares against the four-corner cell loop -----------------------
