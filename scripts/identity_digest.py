@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Print one sha256 per scene over its report, DOT and SVG, one over the
 Hasse DOT of the pattern poset, three over the sampling oracle, one over
-the univariate kernel, one over the subresultant kernel and one over
-marching squares.
+the univariate kernel, one over the subresultant kernel, one over
+marching squares and one over algebraic numbers.
 
 Covers every fixture, degenerate fixture and tilted benchmark scene.  Each
 scene goes through `trajspace analyze --svg --dot` in process; the digest
@@ -40,7 +40,11 @@ and dense, at rational and quadratic parameters (`subres_digest`).  The
 march line covers `render._marching_segments` on seeded curves with
 coefficients up to 2^80, whose grid slots are wider than a machine word,
 on square and non-square boxes and grid sizes, and on -x^60 near 0, where
-values round to -0.0 (`march_digest`).
+values round to -0.0 (`march_digest`).  The alg line covers
+`realroots.AlgebraicNumber` on the real roots of seeded polynomials of
+degree up to 12 with coefficients up to 2^200, some with a dyadic rational
+root: intervals after refinement to four widths, floats, signs, ratio
+intervals and nonvanishing intervals (`alg_digest`).
 Run it on two checkouts and diff the outputs to show that a change keeps
 every output byte for byte:
 
@@ -61,8 +65,9 @@ from trajspace import local_model, omega, render
 from trajspace.bivar import SPoly, SturmHabicht, sylvester_resultant
 from trajspace.cli import main as cli_main
 from trajspace.geometry import curve_from_terms
-from trajspace.polys import zp, zp_add, zp_gcd, zp_mul
-from trajspace.realroots import AlgebraicNumber, isolate_real_roots, sturm_chain
+from trajspace.polys import zp, zp_add, zp_degree, zp_gcd, zp_mul
+from trajspace.realroots import (AlgebraicNumber, isolate_real_roots,
+                                 real_roots_with_multiplicities, sturm_chain)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENE_DIRS = [ROOT / "fixtures", ROOT / "fixtures" / "degenerate",
@@ -273,6 +278,60 @@ def march_digest(count=24, seed=0):
     return h.hexdigest(), count
 
 
+ALG_WIDTHS = [Fraction(1, 3), Fraction(1, 1024), Fraction(1, 10**12), Fraction(1, 10**30)]
+
+
+def alg_digest(count=60, seed=0):
+    """sha256 over ``AlgebraicNumber`` results on the real roots of
+    ``count`` seeded polynomials of degree 1-12 with coefficients of 4, 30 or
+    200 bits, a third of them times 2^j u - n, n odd and j in 1-45; the root
+    n/2^j comes once more on 2^j u - n with integer ends 4 apart, so that
+    bisection hits it at step j + 2.  For each root, in this order: the
+    interval and lo sign after ``refine_below`` at each of ALG_WIDTHS,
+    ``float``, the signs of three seeded polynomials (one of them the
+    defining one times another plus a third), the ratio intervals of two
+    pairs at widths 1/4 and 10^-12, and ``nonvanishing_interval`` of two
+    polynomials inside the interval widened by 1 on each side."""
+    rng = random.Random(seed)
+
+    def small(nonzero_at=None):
+        while True:
+            q = zp(rng.randint(-9, 9) for _ in range(rng.randint(1, 5)))
+            if q and (nonzero_at is None or zp_degree(zp_gcd(nonzero_at, q)) < 1):
+                return q
+
+    h = hashlib.sha256()
+    roots = 0
+    for _ in range(count):
+        bits = rng.choice([4, 30, 200])
+        p = zp(rng.randint(-2**bits, 2**bits) for _ in range(rng.randint(2, 13)))
+        alphas = []
+        if rng.random() < 1 / 3:
+            r = Fraction(2 * rng.randint(-2**40, 2**40) + 1, 2**rng.randint(1, 45))
+            lo = r.numerator // r.denominator - rng.randint(0, 2)
+            alphas.append(AlgebraicNumber(zp([-r.numerator, r.denominator]), lo, lo + 4))
+            p = zp_mul(p, alphas[0].poly)
+        if len(p) >= 2:
+            alphas += [alpha for alpha, _ in real_roots_with_multiplicities(p)]
+        for alpha in alphas:
+            roots += 1
+            out = []
+            for width in ALG_WIDTHS:
+                alpha.refine_below(width)
+                out.append((alpha.lo, alpha.hi, alpha._lo_sign))
+            out.append(float(alpha))
+            f = alpha.poly
+            out.append([alpha.sign_of(q) for q in (small(), zp_add(zp_mul(f, small()), small()),
+                                                    zp_mul(small(), small()))])
+            for width in (Fraction(1, 4), Fraction(1, 10**12)):
+                out.append(alpha.ratio_interval(small(), small(f), width))
+            qs = [small(f), small(f)]
+            out.append(alpha.nonvanishing_interval(qs, alpha.lo - 1, alpha.hi + 1))
+            out.append((alpha.lo, alpha.hi, alpha._lo_sign))
+            h.update(f"{p} {out}\n".encode())
+    return h.hexdigest(), roots
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         for d in SCENE_DIRS:
@@ -313,7 +372,10 @@ def main():
     print(f"{digest}  subres: resultants, gcds and root counts of {count} pairs over Z[c]",
           flush=True)
     digest, count = march_digest()
-    print(f"{digest}  march: marching squares on {count} seeded curve lists and -x^60")
+    print(f"{digest}  march: marching squares on {count} seeded curve lists and -x^60",
+          flush=True)
+    digest, count = alg_digest()
+    print(f"{digest}  alg: algebraic numbers at {count} roots of seeded polynomials")
     return 0
 
 

@@ -8,7 +8,10 @@ Every question about real roots has one answer here:
   total, at or below one cut and strictly between two;
 - where: ``isolate_real_roots`` bisects to isolating intervals;
 - how close: ``AlgebraicNumber.refine`` is the one bisection of an
-  isolating interval, and ``refine_below`` only works out its step count;
+  isolating interval, and ``refine_below`` only works out its step count.
+  A refinement of JUMP_STEPS or more steps guesses in floats where the
+  bisection ends and certifies that cell by two exact signs (the idea of
+  Abbott's quadratic interval refinement, ACM CCA 48(1), 2014);
 - which sign: ``AlgebraicNumber.sign_of`` gives the exact sign of another
   polynomial at an algebraic number (a square-free defining polynomial plus
   an isolating interval).  Everything else about such numbers reduces to
@@ -16,15 +19,15 @@ Every question about real roots has one answer here:
   ``bivar.SturmHabicht`` puts.
 
 Every sign at a rational point is the sign of a homogeneous integer value
-(``polys.zp_eval_hom``); the bisections keep their ends as integer
-numerators over the denominator D * 2**k at depth k, and build Fractions
-only for the intervals handed out.
+(``polys.zp_eval_hom``).  Bisections keep their ends as integer numerators
+over the denominator D * 2**k at depth k, an algebraic number included, and
+build Fractions only for the intervals handed out or read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 
 from .polys import (
     ZP,
@@ -157,19 +160,26 @@ def isolate_real_roots(p: ZP):
     return out
 
 
+# refine(k) for k >= JUMP_STEPS first tries ``AlgebraicNumber._jump``
+JUMP_STEPS = 8
+
+
 class AlgebraicNumber:
     """A real algebraic number: square-free defining ZP + isolating interval.
 
-    lo == hi encodes an exact rational.  The interval is refined in place;
-    arithmetic predicates (sign_of, equals) are exact.
+    The interval is the integers (l, h, d), d > 0: lo = l/d, hi = h/d, and
+    l == h encodes an exact rational.  The Fractions ``lo`` and ``hi`` are
+    built on first read and dropped by ``refine``, which refines the
+    interval in place; arithmetic predicates (sign_of, equals) are exact.
     """
 
-    __slots__ = ("poly", "lo", "hi", "_lo_sign")
+    __slots__ = ("poly", "_l", "_h", "_d", "_lo_sign", "_lo", "_hi")
 
     def __init__(self, poly: ZP, lo: Fraction, hi: Fraction):
-        self.poly = poly
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
+        self.poly, self._lo, self._hi = poly, Fraction(lo), Fraction(hi)
+        (l, a), (h, b) = self._lo.as_integer_ratio(), self._hi.as_integer_ratio()
+        self._d = d = lcm(a, b)
+        self._l, self._h = l * (d // a), h * (d // b)
         self._lo_sign = None  # sign of poly at lo, set by the first refine
 
     @classmethod
@@ -178,43 +188,82 @@ class AlgebraicNumber:
         return cls(zp([-r.numerator, r.denominator]), r, r)
 
     @property
+    def lo(self) -> Fraction:
+        if self._lo is None:
+            self._lo = Fraction(self._l, self._d)
+        return self._lo
+
+    @property
+    def hi(self) -> Fraction:
+        if self._hi is None:
+            self._hi = Fraction(self._h, self._d)
+        return self._hi
+
+    @property
     def is_rational(self) -> bool:
-        return self.lo == self.hi
+        return self._l == self._h
 
     def refine(self, steps: int = 1) -> None:
         """Bisect the isolating interval ``steps`` times, or until a midpoint
-        is the number itself.
-
-        The ends are integer numerators over one common denominator that
-        doubles with every step, and each step signs only its midpoint;
-        Fractions are built at the end.
-        """
-        if self.is_rational or steps < 1:
+        is the number itself.  Each step doubles d and signs only its
+        midpoint; ``_jump`` may reach the same state at once."""
+        l, h, d, lo_sign = self._l, self._h, self._d, self._lo_sign
+        if l == h or steps < 1:
             return
-        den = lcm(self.lo.denominator, self.hi.denominator)
-        lo = self.lo.numerator * (den // self.lo.denominator)
-        hi = self.hi.numerator * (den // self.hi.denominator)
-        lo_sign = self._lo_sign
         if lo_sign is None:
-            lo_sign = zp_sign_at(self.poly, self.lo)
+            lo_sign = zp_sign_at(self.poly, self.lo)  # lo is still the one built by __init__
+        self._lo = self._hi = None
+        if steps >= JUMP_STEPS and lo_sign and (jump := self._jump(steps, lo_sign)):
+            l, h, d, steps = *jump, 0
         for _ in range(steps):
-            mid, den = lo + hi, den << 1
-            lo, hi = lo << 1, hi << 1
-            v = zp_eval_hom(self.poly, mid, den)
+            mid, d = l + h, d << 1
+            l, h = l << 1, h << 1
+            v = zp_eval_hom(self.poly, mid, d)
             if v == 0:
-                lo = hi = mid
+                l = h = mid
                 break
             if lo_sign * v < 0:
-                hi = mid
+                h = mid
             else:
-                lo, lo_sign = mid, (v > 0) - (v < 0)
-        self.lo, self.hi, self._lo_sign = Fraction(lo, den), Fraction(hi, den), lo_sign
+                l, lo_sign = mid, (v > 0) - (v < 0)
+        self._l, self._h, self._d, self._lo_sign = l, h, d, lo_sign
+
+    def _jump(self, k: int, s: int):
+        """The (l, h, d) that k bisection steps reach, or None: with w = h - l,
+        the level-k grid cell [l 2^k + m w, l 2^k + (m + 1) w] / (d 2^k) that
+        holds alpha or, if alpha is a grid point, alpha at the coarsest level
+        that has it.  Floats guess m; exact signs decide.  alpha is the only
+        root of p in the interval, so p has the sign s of lo left of alpha
+        and -s right of it: a zero at a cell end is alpha, a sign change
+        across a cell puts alpha inside, and equal signs say which side it is
+        on.  Three cells are tried."""
+        l, h, d = self._l, self._h, self._d
+        w, base, den, top = h - l, l << k, d << k, 1 << k
+        try:
+            a, b = _float_root(self.poly, l / d, h / d, s, w / den).as_integer_ratio()
+        except OverflowError:
+            return None
+        m = min(max(((a * d - l * b) << k) // (b * w), 0), top - 1)
+        for _ in range(3):
+            vl, vr = (zp_eval_hom(self.poly, base + i * w, den) for i in (m, m + 1))
+            if vl == 0 or vr == 0:
+                i = m if vl == 0 else m + 1
+                t = (i & -i).bit_length() - 1  # alpha is a grid point from level k - t
+                point = (l << (k - t)) + (i >> t) * w
+                return (point, point, d << (k - t)) if i < top else None
+            if (vl > 0) != (vr > 0):
+                return base + m * w, base + (m + 1) * w, den
+            m += 1 if (vl > 0) == (s > 0) else -1
+            if not 0 <= m < top:
+                return None
+        return None
 
     def refine_below(self, width: Fraction) -> None:
         """Refine until the interval is narrower than ``width``: each step
         halves it, so (hi - lo) // width has as many bits as steps needed."""
         if not self.is_rational:
-            self.refine(((self.hi - self.lo) // width).bit_length())
+            self.refine(((self._h - self._l) * width.denominator
+                         // (self._d * width.numerator)).bit_length())
 
     def sign_of(self, q: ZP) -> int:
         """Exact sign of q(alpha).
@@ -227,43 +276,48 @@ class AlgebraicNumber:
         but alpha and has no root of p at its ends, so g(alpha) = 0 exactly
         when g changes sign across the interval.
         """
-        if self.is_rational:
-            return zp_sign_at(q, self.lo)
-        q = zp_rem(q, self.poly)  # a positive multiple of q mod p
-        if not q:
-            return 0
-        for step in range(REFINE_BUDGET):
-            lo, hi = _poly_range(q, self.lo, self.hi)[:2]
-            if lo > 0 or hi < 0:
-                return 1 if lo > 0 else -1
-            if step == 32:
-                g = zp_gcd(self.poly, q)
-                if zp_sign_at(g, self.lo) * zp_sign_at(g, self.hi) < 0:
-                    return 0
-            self.refine()
-            if self.is_rational:
-                return zp_sign_at(q, self.lo)
-        raise BudgetExceeded("sign test did not converge")
+        if not self.is_rational:
+            q = zp_rem(q, self.poly)  # a positive multiple of q mod p
+            if not q:
+                return 0
+            dq = [abs(c) for c in zp_derivative(q)]
+            for step in range(REFINE_BUDGET):
+                lo, hi = _range(q, dq, self._l, self._h, self._d)
+                if lo > 0 or hi < 0:
+                    return 1 if lo > 0 else -1
+                if step == 32:
+                    g = zp_gcd(self.poly, q)
+                    if zp_eval_hom(g, self._l, self._d) * zp_eval_hom(g, self._h, self._d) < 0:
+                        return 0
+                self.refine()
+                if self.is_rational:
+                    break
+            else:
+                raise BudgetExceeded("sign test did not converge")
+        return zp_sign_at(q, self.lo)
 
     def nonvanishing_interval(self, qs, lo: Fraction, hi: Fraction):
         """Rationals a < alpha < b inside (lo, hi) on which no polynomial in
         ``qs`` vanishes; lo < alpha < hi, and each q must be nonzero at alpha.
 
-        Each q is tested on its own by its ``_poly_range`` over [a, b].  An
+        Each q is tested on its own by its ``_range`` over [a, b].  An
         irrational alpha is refined until its interval serves; a rational
         one gives a, b = alpha -+ d, halving d.  If refining finds alpha
         rational, [a, b] stays inside its last isolating interval.
         """
+        qs = [(q, [abs(c) for c in zp_derivative(q)]) for q in qs]
         d = None
         for _ in range(REFINE_BUDGET):
             if self.is_rational:
                 d = min(self.lo - lo, hi - self.lo, d or hi - lo) / 2
                 a, b = self.lo - d, self.lo + d
+                e = lcm(a.denominator, b.denominator)
+                ends = a.numerator * (e // a.denominator), b.numerator * (e // b.denominator), e
             else:
-                a, b = self.lo, self.hi
+                a, b, ends = self.lo, self.hi, (self._l, self._h, self._d)
                 d = b - a
             if lo < a and b < hi and all(r[0] > 0 or r[1] < 0
-                                         for r in (_poly_range(q, a, b) for q in qs)):
+                                         for r in (_range(q, dq, *ends) for q, dq in qs)):
                 return a, b
             self.refine()
         raise BudgetExceeded("no interval clear of the polynomials' roots")
@@ -295,25 +349,34 @@ class AlgebraicNumber:
 
     def ratio_interval(self, num: ZP, den: ZP, width: Fraction):
         """Rationals lo <= num(alpha)/den(alpha) <= hi with hi - lo <= width,
-        refining alpha as needed; den(alpha) must be nonzero."""
+        refining alpha as needed; den(alpha) must be nonzero.  With the
+        ranges [nlo, nhi] and [dlo, dhi] > 0 of ``_range``, the least and
+        greatest quotients are nlo/e1 and nhi/e2 times d**(deg den - deg num),
+        where the signs of nlo and nhi pick the ends e1, e2 of [dlo, dhi]."""
+        dnum, dden = ([abs(c) for c in zp_derivative(p)] for p in (num, den))
+        ex = len(den) - max(len(num), 1)
         for _ in range(REFINE_BUDGET):
             if self.is_rational:
                 v = zp_eval_fr(num, self.lo) / zp_eval_fr(den, self.lo)
                 return v, v
-            nlo, nhi, nscale = _poly_range(num, self.lo, self.hi)
-            dlo, dhi, dscale = _poly_range(den, self.lo, self.hi)
-            if dlo > 0 or dhi < 0:
-                cands = [Fraction(n * dscale, d * nscale) for n in (nlo, nhi) for d in (dlo, dhi)]
-                if max(cands) - min(cands) <= width:
-                    return min(cands), max(cands)
+            l, h, d = self._l, self._h, self._d
+            nlo, nhi = _range(num, dnum, l, h, d)
+            dlo, dhi = _range(den, dden, l, h, d)
+            if dhi < 0:
+                nlo, nhi, dlo, dhi = -nhi, -nlo, -dhi, -dlo
+            if dlo > 0:
+                e1, e2 = dhi if nlo >= 0 else dlo, dlo if nhi >= 0 else dhi
+                sn, se = (d ** ex, 1) if ex >= 0 else (1, d ** -ex)
+                if (nhi * e1 - nlo * e2) * sn * width.denominator <= width.numerator * e1 * e2 * se:
+                    return Fraction(nlo * sn, e1 * se), Fraction(nhi * sn, e2 * se)
             self.refine()
         raise BudgetExceeded("ratio interval did not converge")
 
     def __float__(self) -> float:
-        if self.is_rational:
-            return float(self.lo)
-        self.refine_below(Fraction(1, 10**12))
-        return float((self.lo + self.hi) / 2)
+        # int / int rounds correctly, as float(Fraction) does
+        if not self.is_rational:
+            self.refine_below(Fraction(1, 10**12))
+        return (self._l + self._h) / (2 * self._d)
 
     def __repr__(self):
         # the interval as it stands: refining here would change later results
@@ -374,7 +437,7 @@ def separate(numbers) -> None:
         done = True
         for i, a in enumerate(numbers):
             for b in numbers[i + 1:]:
-                if a.lo <= b.hi and b.lo <= a.hi:
+                if a._l * b._d <= b._h * a._d and b._l * a._d <= a._h * b._d:
                     a.refine()
                     b.refine()
                     done = False
@@ -383,19 +446,37 @@ def separate(numbers) -> None:
     raise BudgetExceeded("isolating intervals did not separate")
 
 
-def _poly_range(p: ZP, lo: Fraction, hi: Fraction):
-    """Crude interval extension of p over [lo, hi] via endpoint + bound.
-
-    Returns integers (a, b, e), e > 0, with p([lo, hi]) inside [a/e, b/e].
-    Over the common denominator d of lo and hi, e = d**deg(p): the endpoint
-    values are homogeneous, and the slack |p'|(m) * (hi - lo) bounds the
-    change of p, where |p'| has the absolute coefficients of p' and
-    m = max(|lo|, |hi|).
-    """
-    if not p:
-        return 0, 0, 1
-    d = lcm(lo.denominator, hi.denominator)
-    l, h = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+def _range(p: ZP, dp: ZP, l: int, h: int, d: int):
+    """Integers a <= b with d**deg(p) p([l/d, h/d]) inside [a, b]: the values
+    at the ends, widened by |p'|(m) (h - l) / d, where dp = |p'| has the
+    absolute coefficients of p' and m = max(|l|, |h|) / d."""
     a, b = zp_eval_hom(p, l, d), zp_eval_hom(p, h, d)
-    slack = zp_eval_hom([abs(c) for c in zp_derivative(p)], max(abs(l), abs(h)), d) * (h - l)
-    return min(a, b) - slack, max(a, b) + slack, d ** (len(p) - 1)
+    slack = zp_eval_hom(dp, max(abs(l), abs(h)), d) * (h - l)
+    return min(a, b) - slack, max(a, b) + slack
+
+
+def _float_root(p: ZP, a: float, b: float, s: int, tol: float) -> float:
+    """A float guess at the root of p in [a, b], where p has the sign s at a:
+    Newton's method on p scaled to coefficients of at most 1, bisecting
+    where a step would leave the bracket or not halve the last one (as in
+    ``rtsafe``, Press et al., Numerical Recipes), until a step is within tol."""
+    top = max(abs(c) for c in p)
+    cs = [c / top for c in reversed(p)]
+    x, dx = (a + b) / 2, b - a
+    for _ in range(100):
+        f = df = 0.0
+        for c in cs:
+            f, df = f * x + c, df * x + f
+        if not isfinite(f):
+            raise OverflowError("p leaves the floats near its root")
+        if f == 0:
+            break
+        a, b = (x, b) if f * s > 0 else (a, x)
+        y = x - f / df if df else x
+        if not a < y < b or 2 * abs(y - x) > dx:
+            y = (a + b) / 2
+        dx = abs(y - x)
+        if dx <= tol:
+            return y
+        x = y
+    return x

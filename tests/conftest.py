@@ -7,7 +7,8 @@ import pytest
 
 from trajspace import geometry, homology, strata, sweep
 from trajspace.bivar import SPoly
-from trajspace.polys import zp, zp_divexact, zp_mul, zp_neg, zp_primitive, zp_sub
+from trajspace.polys import (zp, zp_derivative, zp_divexact, zp_mul, zp_neg, zp_primitive,
+                             zp_sub)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -35,6 +36,21 @@ def cleared(coeffs):
     fr = [Fraction(c) for c in coeffs]
     den = lcm(*(f.denominator for f in fr))
     return zp_primitive(zp(int(f * den) for f in fr))
+
+
+def qq_poly_range(p, lo, hi):
+    """Reference: the interval extension of ``realroots._range`` over QQ,
+    with the derivative bound sum |c_i| m^i and Fraction Horner."""
+    def horner(q, x):
+        acc = Fraction(0)
+        for c in reversed(q):
+            acc = acc * x + c
+        return acc
+
+    a, b = horner(p, lo), horner(p, hi)
+    m = max(abs(lo), abs(hi))
+    bound = sum(abs(c) * m**i for i, c in enumerate(zp_derivative(p)))
+    return min(a, b) - bound * (hi - lo), max(a, b) + bound * (hi - lo)
 
 
 def zp_pow(p, n):

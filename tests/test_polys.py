@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,13 +24,13 @@ from trajspace.polys import (
     zp_squarefree_part,
 )
 from trajspace.realroots import (
-    _poly_range,
+    _range,
     isolate_real_roots,
     sturm_chain,
     sturm_variations_at_inf,
 )
 
-from conftest import cleared, zp_pow
+from conftest import cleared, qq_poly_range, zp_pow
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(zp)
 nonzero_polys = small_polys.filter(bool)
@@ -65,15 +66,6 @@ def qq_horner(p, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def qq_poly_range(p, lo, hi):
-    """Reference: the interval extension of ``_poly_range`` over QQ, with the
-    derivative bound sum |c_i| m^i."""
-    a, b = qq_horner(p, lo), qq_horner(p, hi)
-    m = max(abs(lo), abs(hi))
-    bound = sum(abs(c) * m**i for i, c in enumerate(zp_derivative(p)))
-    return min(a, b) - bound * (hi - lo), max(a, b) + bound * (hi - lo)
 
 
 def qq_prs(p, q):
@@ -139,8 +131,10 @@ def test_integer_evaluation_matches_qq_horner(p, x, y):
     assert zp_eval_fr(p, x) == v
     assert zp_sign_at(p, x) == (v > 0) - (v < 0)
     lo, hi = min(x, y), max(x, y)
-    a, b, e = _poly_range(p, lo, hi)
-    assert e > 0
+    d = lcm(lo.denominator, hi.denominator)
+    a, b = _range(p, [abs(c) for c in zp_derivative(p)], lo.numerator * (d // lo.denominator),
+                  hi.numerator * (d // hi.denominator), d)
+    e = d ** max(len(p) - 1, 0)  # the scale d**deg(p)
     assert (Fraction(a, e), Fraction(b, e)) == qq_poly_range(p, lo, hi)
 
 

@@ -9,9 +9,12 @@ from trajspace.bivar import SPoly, SturmHabicht, sylvester_resultant
 from trajspace.polys import (
     zp,
     zp_add,
+    zp_degree,
     zp_eval_fr,
+    zp_gcd,
     zp_mul,
     zp_neg,
+    zp_rem,
     zp_scale,
     zp_squarefree_part,
 )
@@ -26,7 +29,7 @@ from trajspace.realroots import (
     window_counts,
 )
 
-from conftest import cleared, subresultant, zp_pow
+from conftest import cleared, qq_poly_range, subresultant, zp_pow
 
 
 def poly_from_roots(roots):
@@ -61,10 +64,15 @@ def test_adjacent_rational_roots_isolated():
     assert len(ivs) == 2
 
 
-def _qq_sign(p, x):
+def _qq_value(p, x):
     acc = Fraction(0)
     for c in reversed(p):
         acc = acc * x + c
+    return acc
+
+
+def _qq_sign(p, x):
+    acc = _qq_value(p, x)
     return (acc > 0) - (acc < 0)
 
 
@@ -147,47 +155,110 @@ def test_isolation_matches_fraction_bisection_on_midpoint_roots():
         assert ivs == qq_isolate(p)
 
 
-def test_refine_evaluates_once_per_step(monkeypatch):
-    alpha = AlgebraicNumber(zp([-2, 0, 1]), Fraction(1), Fraction(2))
-    ref_lo, ref_hi = Fraction(1), Fraction(2)
+def qq_bisect(p, lo, hi, steps, lo_sign=None):
+    """Reference: ``steps`` bisection steps on Fraction ends, stopping on a
+    midpoint that is a root.  Returns (lo, hi, the sign of p at lo, steps
+    taken)."""
+    if lo == hi or steps < 1:
+        return lo, hi, lo_sign, 0
+    if lo_sign is None:
+        lo_sign = _qq_sign(p, lo)
+    for taken in range(1, steps + 1):
+        mid = (lo + hi) / 2
+        v = _qq_sign(p, mid)
+        if v == 0:
+            return mid, mid, lo_sign, taken
+        if lo_sign * v < 0:
+            hi = mid
+        else:
+            lo, lo_sign = mid, v
+    return lo, hi, lo_sign, steps
+
+
+def _count_evaluations(monkeypatch):
     calls = []
     sign_at, eval_hom = realroots.zp_sign_at, realroots.zp_eval_hom
     monkeypatch.setattr(realroots, "zp_sign_at", lambda p, x: calls.append(x) or sign_at(p, x))
     monkeypatch.setattr(realroots, "zp_eval_hom",
                         lambda p, n, d: calls.append(n) or eval_hom(p, n, d))
-    alpha.refine(40)
-    for _ in range(40):  # the bisection that signs both ends every step
-        mid = (ref_lo + ref_hi) / 2
-        if _qq_sign(alpha.poly, ref_lo) * _qq_sign(alpha.poly, mid) < 0:
-            ref_hi = mid
-        else:
-            ref_lo = mid
+    return calls
+
+
+def test_refine_evaluates_once_per_step(monkeypatch):
+    # below realroots.JUMP_STEPS, refine bisects step by step
+    alpha = AlgebraicNumber(zp([-2, 0, 1]), Fraction(1), Fraction(2))
+    calls = _count_evaluations(monkeypatch)
+    alpha.refine(realroots.JUMP_STEPS - 1)
+    ref_lo, ref_hi, _, _ = qq_bisect(alpha.poly, Fraction(1), Fraction(2), realroots.JUMP_STEPS - 1)
     assert (alpha.lo, alpha.hi) == (ref_lo, ref_hi)
-    assert len(calls) == 41  # the sign at the first lo, then one per step
+    assert len(calls) == realroots.JUMP_STEPS  # the sign at the first lo, then one per step
+
+
+def test_long_refine_jumps_to_the_bisection_cell(monkeypatch):
+    alpha = AlgebraicNumber(zp([-2, 0, 1]), Fraction(1), Fraction(2))
+    calls = _count_evaluations(monkeypatch)
+    alpha.refine(40)
+    ref_lo, ref_hi, _, _ = qq_bisect(alpha.poly, Fraction(1), Fraction(2), 40)
+    assert (alpha.lo, alpha.hi, alpha._lo_sign, alpha._d) == (ref_lo, ref_hi, -1, 2**40)
+    assert len(calls) <= 4  # the sign at lo and the certified cell's ends
+
+
+def test_long_refine_stops_where_bisection_hits_the_root(monkeypatch):
+    # 5 / 2^20 is a midpoint first at level 20 of [0, 1]
+    alpha = AlgebraicNumber(zp([-5, 2**20]), Fraction(0), Fraction(1))
+    calls = _count_evaluations(monkeypatch)
+    alpha.refine(40)
+    assert alpha.is_rational and (alpha.lo, alpha._d) == (Fraction(5, 2**20), 2**20)
+    assert len(calls) <= 4
 
 
 @st.composite
-def refine_cases(draw):
+def refine_cases(draw, kinds=("rational", "dyadic", "quadratic", "huge", "cluster")):
     """(poly, lo, hi, prior refine steps, width) for an isolating interval.
 
-    Either a rational root r = n/2^j of a linear polynomial, with lo and hi
-    at r - a/2^e and r + b/2^e, so that a bisection midpoint hits r exactly
-    when a + b is a power of two; or a quadratic irrational.  The width is
-    fixed or a multiple of hi - lo, at times wider than the interval."""
-    if draw(st.booleans()):
+    The kinds of root, any of them negative:
+    - r = n/2^j of a linear polynomial, with lo and hi at r - a/2^e and
+      r + b/2^e, so that a bisection midpoint hits r exactly when a + b is a
+      power of two;
+    - a dyadic n/2^j with j in 8..45, inside integer ends 2^t apart, so that
+      bisection hits it at step j + t, past realroots.JUMP_STEPS;
+    - a quadratic irrational, at times with its coefficients scaled above
+      2^1100;
+    - +-2^550 sqrt(d), where the square overflows the floats;
+    - one of 1/3 and 1/3 + 2^-e, e in 50..90, closer than floats tell apart.
+    The width is fixed, down to 2^-100, or a multiple of hi - lo, at times
+    wider than the interval."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "rational":
         r = Fraction(draw(st.integers(-40, 40)), 2 ** draw(st.integers(0, 3)))
         p = zp([-r.numerator, r.denominator])
         e = 2 ** draw(st.integers(0, 4))
         lo = r - Fraction(draw(st.integers(1, 16)), e)
         hi = r + Fraction(draw(st.integers(1, 16)), e)
-    else:
+    elif kind == "dyadic":
+        j = draw(st.integers(8, 45))
+        r = Fraction(2 * draw(st.integers(-2**(j + 1), 2**(j + 1))) + 1, 2**j)
+        p = zp([-r.numerator, r.denominator])
+        lo = Fraction(math.floor(r) - draw(st.integers(0, 2)))
+        hi = lo + 2 ** draw(st.integers(2, 4))
+    elif kind == "quadratic":
         b, d = draw(st.integers(-2, 2)), draw(st.sampled_from([2, 3, 5, 7, 10]))
         p = zp([b * b - d, -2 * b, 1])              # roots b +- sqrt(d)
+        lo, hi = draw(st.sampled_from(isolate_real_roots(p)))
+        if draw(st.booleans()):
+            p = zp_scale(p, 2**1101 + draw(st.integers(0, 2**64)))
+    elif kind == "huge":
+        p = zp([-draw(st.sampled_from([2, 3, 5, 7])) << 1100, 0, 1])
+        lo, hi = draw(st.sampled_from(isolate_real_roots(p)))
+    else:
+        e = draw(st.integers(50, 90))
+        p = zp_mul(zp([-1, 3]), zp([-(2**e + 3), 3 * 2**e]))
         lo, hi = draw(st.sampled_from(isolate_real_roots(p)))
     if draw(st.booleans()):
         p = zp_neg(p)
     width = draw(st.one_of(
-        st.sampled_from([Fraction(1, 10**12), Fraction(1, 1024), Fraction(1, 3)]),
+        st.sampled_from([Fraction(1, 2**100), Fraction(1, 10**12), Fraction(1, 1024),
+                         Fraction(1, 3)]),
         st.fractions(min_value=Fraction(1, 64), max_value=3, max_denominator=64)
           .map(lambda k: k * (hi - lo))))
     return p, lo, hi, draw(st.integers(0, 3)), width
@@ -200,13 +271,101 @@ def refine_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_refine_below_matches_repeated_refine(case):
     p, lo, hi, steps, width = case
-    alpha, ref = AlgebraicNumber(p, lo, hi), AlgebraicNumber(p, lo, hi)
+    alpha = AlgebraicNumber(p, lo, hi)
     alpha.refine(steps)      # steps > 0 presets _lo_sign
-    ref.refine(steps)
+    assert alpha.lo <= alpha.hi   # builds the Fractions, which refine must drop
     alpha.refine_below(width)
-    while not ref.is_rational and ref.hi - ref.lo >= width:   # the reference
-        ref.refine()
-    assert (alpha.lo, alpha.hi, alpha._lo_sign) == (ref.lo, ref.hi, ref._lo_sign)
+    ref_lo, ref_hi, ref_sign, taken = qq_bisect(p, lo, hi, steps)
+    while ref_lo != ref_hi and ref_hi - ref_lo >= width:   # the reference
+        ref_lo, ref_hi, ref_sign, more = qq_bisect(p, ref_lo, ref_hi, 1, ref_sign)
+        taken += more
+    # refine doubles the denominator of the ends once per step it takes
+    d = math.lcm(lo.denominator, hi.denominator) << taken
+    assert (alpha.lo, alpha.hi, alpha._lo_sign, alpha._d) == (ref_lo, ref_hi, ref_sign, d)
+
+
+def qq_sign_of(p, lo, hi, lo_sign, q):
+    """Reference: ``AlgebraicNumber.sign_of`` on Fraction ends, with
+    ``qq_poly_range`` as the range.  Returns the sign and the interval and
+    lo sign it leaves."""
+    if lo != hi:
+        q = zp_rem(q, p)
+        if not q:
+            return 0, lo, hi, lo_sign
+        for step in range(realroots.REFINE_BUDGET):
+            a, b = qq_poly_range(q, lo, hi)
+            if a > 0 or b < 0:
+                return (1 if a > 0 else -1), lo, hi, lo_sign
+            if step == 32:
+                g = zp_gcd(p, q)
+                if _qq_sign(g, lo) * _qq_sign(g, hi) < 0:
+                    return 0, lo, hi, lo_sign
+            lo, hi, lo_sign, _ = qq_bisect(p, lo, hi, 1, lo_sign)
+            if lo == hi:
+                break
+    return _qq_sign(q, lo), lo, hi, lo_sign
+
+
+def qq_ratio_interval(p, lo, hi, lo_sign, num, den, width):
+    """Reference: ``AlgebraicNumber.ratio_interval`` on Fraction ends: the
+    four quotients of the ends of ``qq_poly_range`` of num and den, once
+    den's range excludes 0.  Returns the pair and the interval and lo sign
+    it leaves."""
+    while lo != hi:
+        nlo, nhi = qq_poly_range(num, lo, hi)
+        dlo, dhi = qq_poly_range(den, lo, hi)
+        if dlo > 0 or dhi < 0:
+            cands = [n / e for n in (nlo, nhi) for e in (dlo, dhi)]
+            if max(cands) - min(cands) <= width:
+                return (min(cands), max(cands)), lo, hi, lo_sign
+        lo, hi, lo_sign, _ = qq_bisect(p, lo, hi, 1, lo_sign)
+    v = _qq_value(num, lo) / _qq_value(den, lo)
+    return (v, v), lo, hi, lo_sign
+
+
+small_zps = st.lists(st.integers(-9, 9), max_size=5).map(zp)
+
+
+@st.composite
+def sign_cases(draw):
+    """A ``refine_cases`` number after its prior steps, and a polynomial
+    that is small, a multiple of 3u - 1 (zero at 1/3, so only the gcd test
+    settles it), or p times one plus another.  Roots near 2^550 are left
+    out: they only test the floats of the jump, and cost the Fraction
+    reference thousands of wide steps."""
+    p, lo, hi, steps, _ = draw(refine_cases(("rational", "dyadic", "quadratic", "cluster")))
+    q = draw(small_zps)
+    kind = draw(st.sampled_from(["small", "third", "reduced"]))
+    if kind == "third":
+        q = zp_mul(q or (1,), zp([-1, 3]))
+    elif kind == "reduced":
+        q = zp_add(zp_mul(draw(small_zps), p), q)
+    return p, lo, hi, steps, q
+
+
+def _refined(p, lo, hi, steps):
+    alpha = AlgebraicNumber(p, lo, hi)
+    alpha.refine(steps)
+    return alpha, qq_bisect(p, lo, hi, steps)[:3]
+
+
+@given(sign_cases())
+@settings(max_examples=150, deadline=None)
+def test_sign_of_matches_the_fraction_reference(case):
+    p, lo, hi, steps, q = case
+    alpha, ref = _refined(p, lo, hi, steps)
+    sign = alpha.sign_of(q)
+    assert (sign, alpha.lo, alpha.hi, alpha._lo_sign) == qq_sign_of(p, *ref, q)
+
+
+@given(sign_cases(), small_zps, st.sampled_from([Fraction(1, 4), Fraction(1, 10**12)]))
+@settings(max_examples=100, deadline=None)
+def test_ratio_interval_matches_the_fraction_reference(case, num, width):
+    p, lo, hi, steps, den = case
+    assume(den and zp_degree(zp_gcd(p, den)) < 1)  # den(alpha) != 0
+    alpha, ref = _refined(p, lo, hi, steps)
+    pair = alpha.ratio_interval(num, den, width)
+    assert (pair, alpha.lo, alpha.hi, alpha._lo_sign) == qq_ratio_interval(p, *ref, num, den, width)
 
 
 def test_repr_keeps_the_interval():
