@@ -45,10 +45,12 @@ values round to -0.0 (`march_digest`).  The alg line covers
 degree up to 12 with coefficients up to 2^200, some with a dyadic rational
 root: intervals after refinement to four widths, floats, signs, ratio
 intervals and nonvanishing intervals (`alg_digest`).
-Run it on two checkouts and diff the outputs to show that a change keeps
-every output byte for byte:
+The lines are pinned in `tests/golden/identity_digest.txt`, and
+`tests/test_identity_digest.py` recomputes them with `digest_lines` and
+names each line that differs.  A change that means to move a line
+regenerates the file and justifies that line:
 
-    PYTHONPATH=src python scripts/identity_digest.py > digests.txt
+    PYTHONPATH=src python scripts/identity_digest.py > tests/golden/identity_digest.txt
 """
 
 import contextlib
@@ -332,50 +334,51 @@ def alg_digest(count=60, seed=0):
     return h.hexdigest(), roots
 
 
-def main():
+def digest_lines():
+    """Yield the digest lines in order, each "sha256  label"."""
     with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
         for d in SCENE_DIRS:
             for path in sorted(d.glob("*.json")):
-                name = path.relative_to(ROOT)
-                print(f"{scene_digest(path, pathlib.Path(tmp))}  {name}", flush=True)
-        seam = pathlib.Path(tmp) / "seamhole.json"
+                yield f"{scene_digest(path, tmp)}  {path.relative_to(ROOT)}"
+        seam = tmp / "seamhole.json"
         seam.write_text(json.dumps(SEAM_SCENE))
-        print(f"{scene_digest(seam, pathlib.Path(tmp))}  seam: radial scene rotated by 1/7", flush=True)
-        holes = pathlib.Path(tmp) / "holes8.json"
+        yield f"{scene_digest(seam, tmp)}  seam: radial scene rotated by 1/7"
+        holes = tmp / "holes8.json"
         holes.write_text(json.dumps(holes_doc(8)))
-        print(f"{scene_digest(holes, pathlib.Path(tmp))}  holes8: 8 holes under (3,7)", flush=True)
-        deg = pathlib.Path(tmp) / "deg10.json"
+        yield f"{scene_digest(holes, tmp)}  holes8: 8 holes under (3,7)"
+        deg = tmp / "deg10.json"
         deg.write_text(json.dumps(deg_doc(10)))
-        print(f"{scene_digest(deg, pathlib.Path(tmp))}  deg10: degree-10 curve under (3,7)",
-              flush=True)
+        yield f"{scene_digest(deg, tmp)}  deg10: degree-10 curve under (3,7)"
         h = hashlib.sha256()
         for name, doc in REJECTED_SCENES.items():
-            path = pathlib.Path(tmp) / f"{name}.json"
+            path = tmp / f"{name}.json"
             path.write_text(json.dumps(doc))
-            h.update(f"{name} {scene_digest(path, pathlib.Path(tmp))}\n".encode())
-        print(f"{h.hexdigest()}  rejected: {len(REJECTED_SCENES)} scenes that fail validation",
-              flush=True)
+            h.update(f"{name} {scene_digest(path, tmp)}\n".encode())
+        yield f"{h.hexdigest()}  rejected: {len(REJECTED_SCENES)} scenes that fail validation"
     h = hashlib.sha256()
     for n in range(7):
         h.update(omega.export_hasse_dot(omega.build_poset(n)).encode())
-    print(f"{h.hexdigest()}  poset: Hasse DOT for n = 0..6", flush=True)
+    yield f"{h.hexdigest()}  poset: Hasse DOT for n = 0..6"
     digest, count = oracle_digest(Fraction(1, 1000))
-    print(f"{digest}  oracle: {count} patterns of norm <= 8", flush=True)
+    yield f"{digest}  oracle: {count} patterns of norm <= 8"
     digest, count = oracle_digest(Fraction(1, 2))
-    print(f"{digest}  oracle: {count} patterns of norm <= 8, magnitude 1/2", flush=True)
+    yield f"{digest}  oracle: {count} patterns of norm <= 8, magnitude 1/2"
     digest, count = oracle_digest(Fraction(3))
-    print(f"{digest}  oracle: {count} patterns of norm <= 8, magnitude 3", flush=True)
+    yield f"{digest}  oracle: {count} patterns of norm <= 8, magnitude 3"
     digest, count = kernel_digest()
-    print(f"{digest}  kernel: Sturm chains and gcds of {count} pairs with shared factors",
-          flush=True)
+    yield f"{digest}  kernel: Sturm chains and gcds of {count} pairs with shared factors"
     digest, count = subres_digest()
-    print(f"{digest}  subres: resultants, gcds and root counts of {count} pairs over Z[c]",
-          flush=True)
+    yield f"{digest}  subres: resultants, gcds and root counts of {count} pairs over Z[c]"
     digest, count = march_digest()
-    print(f"{digest}  march: marching squares on {count} seeded curve lists and -x^60",
-          flush=True)
+    yield f"{digest}  march: marching squares on {count} seeded curve lists and -x^60"
     digest, count = alg_digest()
-    print(f"{digest}  alg: algebraic numbers at {count} roots of seeded polynomials")
+    yield f"{digest}  alg: algebraic numbers at {count} roots of seeded polynomials"
+
+
+def main():
+    for line in digest_lines():
+        print(line, flush=True)
     return 0
 
 

@@ -18,7 +18,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import __version__, local_model, omega, render, report, sweep, validate
+from . import __version__, homology, local_model, omega, render, report, sweep, validate
 from .events import DegenerateScene
 from .geometry import SceneError, load_scene
 from .realroots import BudgetExceeded
@@ -214,7 +214,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (sweep.MatchingAmbiguous, BudgetExceeded) as exc:
+    except (sweep.MatchingAmbiguous, homology.BoundaryMismatch, BudgetExceeded) as exc:
         code = "BUDGET" if isinstance(exc, BudgetExceeded) else "INTERNAL"
         if args.command == "analyze":
             _emit(_error_doc(code, str(exc)), args.out)

@@ -7,11 +7,12 @@ when it is a boundary stratum (taken once), so the mirror copy of a cell
 has the original's boundary with each interior face replaced by its mirror.
 Smith normal form over ZZ gives ranks and torsion.
 
-Each boundary map is reduced once, when its complex is built; Betti
-numbers, torsion and the report read the stored (rank, divisors) pairs.
-The reduction pivots on the first entry of least absolute value in
-row-major order, so it stops its search at the first unit; the boundary
-maps here are almost all +-1.
+A boundary map is a list of sparse columns ``{row: entry}``, one per cell,
+with no zero entry stored.  Each map is reduced once, when its complex is
+built; Betti numbers, torsion and the report read the stored (rank,
+divisors) pairs.  The reduction pivots on an entry of least absolute value
+and stops its search at the first unit; the boundary maps here are almost
+all +-1, so nearly every pivot clears its row and column in one step.
 """
 
 from __future__ import annotations
@@ -27,31 +28,24 @@ class BoundaryMismatch(Exception):
 @dataclass
 class ChainComplex:
     ranks: list                    # rank per degree, low to high
-    boundaries: list               # boundaries[j]: matrix rank(j-1) x rank(j), j >= 1
+    boundaries: list               # boundaries[j], j >= 1: one {row: entry} column per j-cell
     reduced: list = field(init=False, repr=False)   # reduced[j]: smith_ranks(boundaries[j])
 
     def __post_init__(self):
         self.reduced = [(0, [])] + [smith_ranks(d) for d in self.boundaries[1:]]
 
     def check_dd_zero(self):
-        """d_{j-1} d_j = 0; each column of the product is built from the
-        nonzero entries of d_j's column only."""
+        """d_{j-1} d_j = 0, one column of the product at a time."""
         for j in range(2, len(self.ranks)):
             big = self.boundaries[j - 1]
-            small = self.boundaries[j]
-            if not big or not small:
-                continue
-            big_cols = [[(r, row[k]) for r, row in enumerate(big) if row[k]]
-                        for k in range(len(small))]
-            for c, col in enumerate(zip(*small)):
-                s = [0] * len(big)
-                for k, a in enumerate(col):
-                    if a:
-                        for r, b in big_cols[k]:
-                            s[r] += a * b
-                if any(s):
-                    r = next(r for r, v in enumerate(s) if v)
-                    raise BoundaryMismatch(f"dd != 0 at degree {j}, entry ({r},{c})")
+            for c, col in enumerate(self.boundaries[j]):
+                s = {}
+                for k, a in col.items():
+                    for r, b in big[k].items():
+                        s[r] = s.get(r, 0) + a * b
+                bad = [r for r, v in s.items() if v]
+                if bad:
+                    raise BoundaryMismatch(f"dd != 0 at degree {j}, entry ({min(bad)},{c})")
 
     def betti_numbers(self):
         rank_d = [rank for rank, _ in self.reduced] + [0]   # rank of boundary_j over QQ
@@ -78,45 +72,56 @@ class ChainComplex:
         }
 
 
-def smith_ranks(matrix):
-    """(rank, elementary divisors) of an integer matrix, exact.
+def smith_ranks(columns):
+    """(rank, elementary divisors) of an integer matrix given by its sparse
+    columns ``{row: entry}``, exact.
 
-    Plain fraction-free Smith reduction; fine for the small matrices here.
+    Each step pivots on an entry p of least absolute value.  Column
+    operations subtract multiples of p's column from the other columns of
+    its row, and row operations subtract multiples of p's row from the other
+    rows of its column; each leaves a remainder smaller than |p| or none.  A
+    remainder makes the next pivot smaller, so the step repeats until p
+    stands alone; then |p| is a divisor and its row and column are dropped.
     """
-    if not matrix or not matrix[0]:
-        return 0, []
-    m = [row[:] for row in matrix]
-    rows, cols = len(m), len(m[0])
+    cols = {c: dict(col) for c, col in enumerate(columns) if col}
+    rows = {}                      # row -> the columns with an entry in it
+    for c, col in cols.items():
+        for r in col:
+            rows.setdefault(r, set()).add(c)
+
+    def add(k, r, delta):
+        col = cols[k]
+        v = col.get(r, 0) + delta
+        if v:
+            col[r] = v
+            rows[r].add(k)
+        else:
+            del col[r]
+            rows[r].discard(k)
+
     divisors = []
-    top = 0
-    while top < min(rows, cols):
-        piv = _least_entry(m, top)
-        if piv is None:
-            break
-        r0, c0 = piv
-        m[top], m[r0] = m[r0], m[top]
-        for r in range(rows):
-            m[r][top], m[r][c0] = m[r][c0], m[r][top]
-        again = False
-        for r in range(top + 1, rows):
-            if m[r][top] % m[top][top] != 0:
-                again = True
-            q = m[r][top] // m[top][top]
-            if q:
-                for c in range(top, cols):
-                    m[r][c] -= q * m[top][c]
-        for c in range(top + 1, cols):
-            if m[top][c] % m[top][top] != 0:
-                again = True
-            q = m[top][c] // m[top][top]
-            if q:
-                for r in range(top, rows):
-                    m[r][c] -= q * m[r][top]
-        if again or any(m[r][top] for r in range(top + 1, rows)) \
-                or any(m[top][c] for c in range(top + 1, cols)):
-            continue
-        divisors.append(abs(m[top][top]))
-        top += 1
+    while cols:
+        least = None
+        for c, r, a in ((c, r, a) for c, col in cols.items() for r, a in col.items()):
+            if least is None or abs(a) < abs(least[2]):
+                least = c, r, a
+                if abs(a) == 1:
+                    break
+        c, r, p = least
+        pivot = cols[c]
+        for k in rows[r] - {c}:
+            q = cols[k][r] // p
+            for s, a in pivot.items():
+                add(k, s, -q * a)
+            if not cols[k]:
+                del cols[k]
+        for s in [s for s in pivot if s != r]:
+            q = pivot[s] // p
+            for k in rows[r]:
+                add(k, s, -q * cols[k][r])
+        if len(pivot) == 1 and len(rows[r]) == 1:
+            divisors.append(abs(p))
+            del cols[c], rows[r]
     # normalize divisibility chain d1 | d2 | ...
     changed = True
     while changed:
@@ -130,20 +135,12 @@ def smith_ranks(matrix):
     return len(divisors), divisors
 
 
-def _least_entry(m, top):
-    """The first (row-major) nonzero entry of least absolute value in the
-    block m[top:][top:], or None if the block is zero.  The search stops at
-    the first unit: no nonzero entry is smaller."""
-    piv, least = None, 0
-    for r in range(top, len(m)):
-        row = m[r]
-        for c in range(top, len(row)):
-            a = abs(row[c])
-            if a and (piv is None or a < least):
-                if a == 1:
-                    return r, c
-                piv, least = (r, c), a
-    return piv
+def _column(entries):
+    """The sparse column that sums (row, entry) pairs, zeros dropped."""
+    col = {}
+    for r, a in entries:
+        col[r] = col.get(r, 0) + a
+    return {r: a for r, a in col.items() if a}
 
 
 def graph_chain_complex(graph) -> ChainComplex:
@@ -154,15 +151,10 @@ def graph_chain_complex(graph) -> ChainComplex:
     ``graph_homology_ranks``.
     """
     vidx = {v.id: i for i, v in enumerate(graph.vertices)}
-    d1 = [[0] * len(graph.edges) for _ in vidx]
-    for c, e in enumerate(graph.edges):
-        ends = []
-        for vid, role, edge_on_left in e.attachments:
-            # the edge approaches from the left iff the vertex is its
-            # parameter-increasing endpoint
-            ends.append((vid, 1 if edge_on_left else -1))
-        for vid, sign in ends:
-            d1[vidx[vid]][c] += sign
+    # the edge approaches a vertex from the left iff the vertex is its
+    # parameter-increasing endpoint
+    d1 = [_column((vidx[vid], 1 if edge_on_left else -1)
+                  for vid, role, edge_on_left in e.attachments) for e in graph.edges]
     return ChainComplex([len(vidx), len(graph.edges)], [None, d1])
 
 
@@ -195,12 +187,10 @@ def cw_complex_of_double(table) -> ChainComplex:
     boundaries = [None]
     for j in (1, 2):
         row = {cell: i for i, cell in enumerate(cells[j - 1])}
-        d = [[0] * len(cells[j]) for _ in cells[j - 1]]
-        for col, (source, location) in enumerate(cells[j]):
-            for face, coeff in faces[source]:
-                key = (face, location) if (face, location) in row else (face, "boundary")
-                d[row[key]][col] += coeff
-        boundaries.append(d)
+        boundaries.append([
+            _column((row[(face, location) if (face, location) in row else (face, "boundary")],
+                     coeff) for face, coeff in faces[source])
+            for source, location in cells[j]])
     cc = ChainComplex([len(c) for c in cells], boundaries)
     cc.check_dd_zero()
     return cc

@@ -79,10 +79,6 @@ class ModelPolynomial:
         increasing root order, counted without isolating the roots."""
         return _multiplicities(*self._factors())
 
-    def trajectory_patterns(self):
-        """Patterns of the slices {model <= 0}, in increasing u order."""
-        return tuple(omega.segment_patterns(self.multiplicities()))
-
 
 def _integer_factors(pattern, den, numerators):
     """[(i, g_i), ...]: den times the factors in y = u - i, over ZZ, that is

@@ -181,9 +181,10 @@ def scene_svg(scene, graph=None) -> str:
         for k, e in enumerate(graph.edges):
             color = SLAB_COLORS[k % len(SLAB_COLORS)]
             band = []
-            for chart, param, s_en, s_ex in sorted(e.samples):
+            for chart, param, s_en, s_ex in sorted(e.samples, key=lambda t: t[:2]):
+                param = float(param)
                 line = trajectory_line(scene.field, param, chart, q)
-                band.append((param, (line.point_at(s_en), line.point_at(s_ex))))
+                band.append((param, (line.point_at(float(s_en)), line.point_at(float(s_ex)))))
             band.sort(key=lambda t: t[0])
             band = [pair for _, pair in band]
             # the slab pinches onto the endpoint event trajectories

@@ -78,7 +78,8 @@ class Edge:
     chart_interval: list          # [(chart, lo_float, hi_float), ...]
     attachments: list             # [(vertex_id, role, edge_on_left)]
     is_loop: bool = False
-    samples: list = field(default_factory=list)  # (chart, param, s_entry, s_exit) floats
+    # (chart, sample, entry crossing, exit crossing) per cell, exact: only render reads it
+    samples: list = field(default_factory=list)
 
     def endpoint_vertices(self):
         return [a[0] for a in self.attachments]
@@ -400,8 +401,8 @@ def build_trajectory_space(scene) -> TrajectoryGraph:
         for ci, ti in ms:
             cell = cells[ci]
             (ce, ie), (cx, ix) = cell.traj_ids(ti)
-            samples.append((cell.chart, float(cell.sample),
-                            float(cell.comp_roots[ce][ie]), float(cell.comp_roots[cx][ix])))
+            samples.append((cell.chart, cell.sample,
+                            cell.comp_roots[ce][ie], cell.comp_roots[cx][ix]))
         ends = atts.get(root, [])
         edges.append(Edge(eid, (1, 1), en_id[0], ex_id[0], _edge_intervals(cells, ms),
                           [(vx.id, role, onleft) for vx, role, onleft in ends],

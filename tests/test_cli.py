@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from trajspace import sweep
+from trajspace import homology, sweep
 from trajspace.cli import main
+from trajspace.homology import BoundaryMismatch
 from trajspace.realroots import BudgetExceeded
 
 from conftest import FIXTURES, TWO_OVALS, fixture_path
@@ -264,13 +265,23 @@ INTERNAL_FAILURES = [(sweep.MatchingAmbiguous("empty cell between sweep bounds")
                      (BudgetExceeded("sign test did not converge"), "BUDGET")]
 
 
-@pytest.mark.parametrize("exc,code", INTERNAL_FAILURES)
-def test_analyze_internal_failure_is_one_json_error_exit_3(capsys, monkeypatch, exc, code):
-    monkeypatch.setattr(sweep, "build_trajectory_space", _raise(exc))
+def _analyze_fails_with_json_error_exit_3(capsys, exc, code):
     assert main(["analyze", fixture_path("disk.json")]) == 3
     captured = capsys.readouterr()
     assert json.loads(captured.out) == {"error": code, "message": str(exc)}
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("exc,code", INTERNAL_FAILURES)
+def test_analyze_internal_failure_is_one_json_error_exit_3(capsys, monkeypatch, exc, code):
+    monkeypatch.setattr(sweep, "build_trajectory_space", _raise(exc))
+    _analyze_fails_with_json_error_exit_3(capsys, exc, code)
+
+
+def test_analyze_boundary_mismatch_is_one_json_error_exit_3(capsys, monkeypatch):
+    exc = BoundaryMismatch("dd != 0 at degree 2, entry (0,0)")
+    monkeypatch.setattr(homology, "cw_complex_of_double", _raise(exc))
+    _analyze_fails_with_json_error_exit_3(capsys, exc, "INTERNAL")
 
 
 @pytest.mark.parametrize("exc,code", INTERNAL_FAILURES)

@@ -8,6 +8,15 @@ from trajspace.homology import BoundaryMismatch, smith_ranks
 from conftest import GENERIC_FIXTURES, analyzed, holes_scene, load_fixture
 
 
+def _columns(matrix):
+    """The sparse columns {row: entry} of a dense row-list matrix."""
+    return [{r: row[c] for r, row in enumerate(matrix) if row[c]} for c in range(len(matrix[0]))]
+
+
+def _dense(columns, rows):
+    return [[col.get(r, 0) for col in columns] for r in range(rows)]
+
+
 @pytest.mark.parametrize("matrix,rank,divisors", [
     ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3, [1, 1, 1]),
     ([[0, 0], [0, 0]], 0, []),
@@ -16,7 +25,7 @@ from conftest import GENERIC_FIXTURES, analyzed, holes_scene, load_fixture
     ([[1, 2], [3, 4]], 2, [1, 2]),
 ])
 def test_smith_ranks(matrix, rank, divisors):
-    assert smith_ranks(matrix) == (rank, divisors)
+    assert smith_ranks(_columns(matrix)) == (rank, divisors)
 
 
 def test_graph_complex_disk(disk):
@@ -106,7 +115,7 @@ def _minors_gcd(m, k):
 @settings(max_examples=120, deadline=None)
 def test_smith_divisors_match_determinantal_divisors(m):
     # d_1 ... d_k equals the gcd of all k x k minors: an independent oracle
-    rank, divs = smith_ranks(m)
+    rank, divs = smith_ranks(_columns(m))
     assert rank == len(divs)
     prod = 1
     for k, d in enumerate(divs, 1):
@@ -125,10 +134,20 @@ def _sympy_smith(m):
     return len(diag), diag
 
 
-@given(int_matrices(6, 4))
+def sparse_matrices(max_dim):
+    """Mostly zero matrices whose entries +-1, +-2, +-3, +-6 make non-unit
+    pivots, remainders and the divisibility normalisation run."""
+    entry = st.sampled_from([0] * 12 + [1, -1, 2, -2, 3, -3, 6, -6])
+    return st.integers(1, max_dim).flatmap(
+        lambda r: st.integers(1, max_dim).flatmap(
+            lambda c: st.lists(st.lists(entry, min_size=c, max_size=c),
+                               min_size=r, max_size=r)))
+
+
+@given(int_matrices(6, 4) | sparse_matrices(10))
 @settings(max_examples=150, deadline=None)
 def test_smith_matches_sympy_on_small_matrices(m):
-    assert smith_ranks(m) == _sympy_smith(m)
+    assert smith_ranks(_columns(m)) == _sympy_smith(m)
 
 
 @pytest.mark.parametrize("name", GENERIC_FIXTURES)
@@ -136,16 +155,16 @@ def test_smith_matches_sympy_on_fixture_boundaries(name):
     a = analyzed(name)
     for cc in (homology.graph_chain_complex(a.graph), a.double):
         for j, d in enumerate(cc.boundaries[1:], 1):
-            assert cc.reduced[j] == smith_ranks(d) == _sympy_smith(d)
+            assert cc.reduced[j] == smith_ranks(d) == _sympy_smith(_dense(d, cc.ranks[j - 1]))
 
 
 @pytest.fixture
 def smith_calls(monkeypatch):
     calls = []
 
-    def counting(matrix):
-        calls.append(matrix)
-        return smith_ranks(matrix)
+    def counting(columns):
+        calls.append(columns)
+        return smith_ranks(columns)
 
     monkeypatch.setattr(homology, "smith_ranks", counting)
     return calls
@@ -172,9 +191,9 @@ def test_complex_reads_stored_reductions(fig1, smith_calls):
 def test_dd_check_catches_one_flipped_sign(fig1):
     dx = copy.deepcopy(fig1.double)
     dx.check_dd_zero()
-    d2 = dx.boundaries[2]
-    r, c = next((r, c) for r, row in enumerate(d2) for c, v in enumerate(row) if v)
-    d2[r][c] = -d2[r][c]
+    c, col = next((c, col) for c, col in enumerate(dx.boundaries[2]) if col)
+    r = next(iter(col))
+    col[r] = -col[r]
     with pytest.raises(BoundaryMismatch, match=r"dd != 0 at degree 2, entry \(\d+,%d\)" % c):
         dx.check_dd_zero()
 

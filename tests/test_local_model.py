@@ -34,7 +34,7 @@ def test_model_at_zero_parameters(pattern, degree, roots):
     for (r, _), (want, _) in zip(got, roots):
         assert float(r) == pytest.approx(want, abs=1e-9)
         assert r.sign_of((-want, 1)) == 0   # exactly the integer root
-    assert model.trajectory_patterns() == (pattern,)
+    assert tuple(segment_patterns(model.multiplicities())) == (pattern,)
 
 
 def test_quadratic_sampling_trichotomy():
@@ -128,7 +128,7 @@ def test_fallback_when_roots_of_two_factors_meet():
     poly = sp.Poly(list(reversed(model.coefficients())), u)
     assert sp.roots(poly) == {1: 2, 3: 2}
     assert model.multiplicities() == [2, 2]
-    assert model.trajectory_patterns() == ((2,), (2,))
+    assert tuple(segment_patterns(model.multiplicities())) == ((2,), (2,))
 
 
 @pytest.mark.parametrize("magnitude", [Fraction(1, 1000), Fraction(1, 2), Fraction(3)])
