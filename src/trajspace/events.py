@@ -92,15 +92,29 @@ def classify_parameter(seq: SturmHabicht, comp_idx: int, chart: int,
         "unresolved real/complex tangency coincidence (gcd degree %d)" % k, witness)
 
 
-def multiple_root_params(G: SPoly):
-    """Square-free part of Res_s(G, G_s), its real roots, and the signed
-    subresultant sequence of G; (None, [], None) when the resultant vanishes."""
-    seq = SturmHabicht(G)
-    if not seq.resultant:
-        return None, [], None
-    rsf = zp_squarefree_part(seq.resultant)
-    params = [AlgebraicNumber(rsf, lo, hi) for lo, hi in isolate_real_roots(rsf)]
-    return rsf, params, seq
+class CurveAnalysis:
+    """One restricted curve G along its line family.
+
+    ``seq`` is the signed subresultant sequence of G and G_s, ``rsf`` the
+    square-free part of Res_s(G, G_s) and ``intervals`` the isolating
+    intervals of its real roots as isolated; None, None and [] when the
+    resultant vanishes.
+    """
+
+    __slots__ = ("G", "seq", "rsf", "intervals")
+
+    def __init__(self, G: SPoly):
+        self.G, self.seq = G, SturmHabicht(G)
+        self.rsf, self.intervals = None, []
+        if self.seq.resultant:
+            self.rsf = zp_squarefree_part(self.seq.resultant)
+            self.intervals = isolate_real_roots(self.rsf)
+        else:
+            self.seq = None
+
+    def params(self):
+        """Fresh, unrefined algebraic numbers at the tangency parameters."""
+        return [AlgebraicNumber(self.rsf, lo, hi) for lo, hi in self.intervals]
 
 
 def component_events(G: SPoly, comp_idx: int, chart: int,
@@ -110,17 +124,17 @@ def component_events(G: SPoly, comp_idx: int, chart: int,
     Returns (events, resultant_squarefree).  Resultant roots at the interval
     ends are the caller's problem (seam collisions get a chart rotation).
     """
-    rsf, params, seq = multiple_root_params(G)
-    if rsf is None:
+    ca = CurveAnalysis(G)
+    if ca.rsf is None:
         raise DegenerateScene(
             "identically tangent family (vanishing resultant) on component %d" % comp_idx,
             ("component %d" % comp_idx, None, (lo, hi)),
         )
     events = []
-    for alpha in params:
+    for alpha in ca.params():
         if alpha.compare_rational(lo) <= 0 or alpha.compare_rational(hi) >= 0:
             continue
-        ev = classify_parameter(seq, comp_idx, chart, alpha)
+        ev = classify_parameter(ca.seq, comp_idx, chart, alpha)
         if ev is not None:
             events.append(ev)
-    return events, rsf
+    return events, ca.rsf

@@ -10,36 +10,43 @@ Checks, all exact, with algebraic certificates:
   BBOX                  a curve touches the bounding box frame
   EMPTY                 no interior point of X was found
 
-Singularities and curve intersections are both detected along the vertical
-line pencil: every real point lies on some line x = alpha, and a singular
-point (a real common root of gcd(G, G_s) and F_x) or an intersection point
-forces alpha to be a root of a resultant; ``bivar.common_real_root``
-decides each exactly.  A component's stored curve already is its
-restriction G to that pencil (``geometry.BoundaryComponent``), so nothing
-is substituted: F_x is G's c-derivative, and the frame edges are G at
-x = x0, x1 (``SPoly.at_param``) and at y = y0, y1 (``SPoly.at_s``).
+Everything is read along the vertical lines x = c.  A component's stored
+curve already is its restriction G to that pencil
+(``geometry.BoundaryComponent``), so nothing is substituted: F_x is G's
+c-derivative, and the frame edges are G at x = x0, x1 (``SPoly.at_param``)
+and at y = y0, y1 (``SPoly.at_s``).
 
-Each call of ``validate_scene`` analyses every component along the pencil
-once (``_VerticalAnalysis``: the square-free resultant Res_s(G, G_s), its
-isolating intervals and the signed subresultant sequence) and hands that
-analysis to every check that needs it.  It also picks one probe line per
-component (``_curve_point``: a rational x and the curve's y-roots there),
-which the bbox check, the hole witness and the interior point share.  Both
-live only as long as the call.  Each consumer of the analysis builds its
-own algebraic numbers from the stored intervals: refining a number is
-visible in the floats and witnesses reported later, so a number refined by
-one check must not reach another.  The bbox check refines nothing: it
-counts roots on the frame edges and the probe line with
+Each call of ``validate_scene`` builds one ``events.CurveAnalysis`` per
+component: the signed subresultant sequence of G, the square-free part of
+Res_s(G, G_s) and its isolating intervals.  It lives only as long as the
+call.  A singular point (a real common root of gcd(G, G_s) and F_x) forces
+x to be a root of that resultant, and an intersection point of two curves
+a root of theirs; ``bivar.common_real_root`` decides each exactly.
+
+The bbox check, the hole witnesses and the interior point use one probe
+rule: the midpoint of the gap between each two consecutive isolating
+intervals, as isolated (``_probes``).  This is the cell argument of
+cylindrical algebraic decomposition (Collins, LNCS 33, 1975): a probe lies
+strictly between consecutive tangency parameters, where every crossing of
+the line with the curve is simple.  A compact smooth oval has its x-extrema
+among those parameters and spans the open x-range between them, so at
+least one probe line crosses every oval and enters the region it bounds.
+So every oval is checked against the box, and every hole oval against the
+outer curve and the other holes.
+
+Nothing is refined for the probes: refining an algebraic number is visible
+in the floats and witnesses reported later, so each check builds its own
+fresh numbers from the stored intervals (``CurveAnalysis.params``).  The
+bbox check counts roots on the frame edges and the probe lines with
 ``realroots.window_counts``, and tests the edge ends exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .bivar import common_real_root, sylvester_resultant
-from .events import multiple_root_params
+from .events import CurveAnalysis
 from .polys import zp_sign_at, zp_squarefree_part
 from .realroots import (
     AlgebraicNumber,
@@ -72,27 +79,10 @@ class ValidationReport:
         }
 
 
-class _VerticalAnalysis:
-    """One component along the vertical lines x = c (s is the y coordinate).
-
-    ``G`` is the stored curve L * F and ``fx`` its c-derivative L * F_x;
-    ``rsf``, ``intervals`` and ``seq`` are the square-free part of
-    Res_s(G, G_s), the isolating intervals of its real roots and the signed
-    subresultant sequence of G (None, [] and None when the resultant
-    vanishes).
-    """
-
-    __slots__ = ("G", "fx", "rsf", "intervals", "seq")
-
-    def __init__(self, comp):
-        self.G = comp.curve
-        self.fx = comp.curve.dc()
-        self.rsf, params, self.seq = multiple_root_params(self.G)
-        self.intervals = [(a.lo, a.hi) for a in params]
-
-    def params(self):
-        """Fresh, unrefined algebraic numbers at the tangency parameters."""
-        return [AlgebraicNumber(self.rsf, lo, hi) for lo, hi in self.intervals]
+def _probes(intervals):
+    """The midpoint of the gap between each two consecutive isolating
+    intervals, as isolated: a rational strictly between consecutive roots."""
+    return [(hi + lo) / 2 for (_, hi), (lo, _) in zip(intervals, intervals[1:])]
 
 
 def _check_smooth(comp, va, report):
@@ -101,10 +91,11 @@ def _check_smooth(comp, va, report):
         report.add(f"curve_smooth[{comp.name}]", False,
                    "CURVE_SINGULAR: restriction identically degenerate")
         return
+    fx = va.G.dc()
     for alpha in va.params():
         k, g = va.seq.at(alpha).gcd(alpha)
         # a singular point is a real common root of G, G_s and F_x on x = alpha
-        if k >= 1 and common_real_root(g, va.fx.truncated(alpha), alpha):
+        if k >= 1 and common_real_root(g, fx.truncated(alpha), alpha):
             report.add(f"curve_smooth[{comp.name}]", False,
                        f"CURVE_SINGULAR: singular point near x = {float(alpha):.6g}")
             return
@@ -131,39 +122,7 @@ def _check_disjoint(vi, vj, name_i, name_j, report):
     report.add(f"disjoint[{name_i},{name_j}]", True, "")
 
 
-def _curve_point(va, scene):
-    """A rational x with real curve points, plus the curve's y-roots there.
-
-    Uses the vertical tangency parameters: a compact smooth curve attains
-    its x-extrema there, and any x strictly between the outermost two cuts
-    the curve.
-    """
-    xs = []
-    for alpha in va.params():
-        alpha.refine_below(Fraction(1, 1024))
-        xs.append(alpha)
-    for probe in _probe_values(xs, scene):
-        p = va.G.at_param(probe)
-        if p:
-            roots = real_roots_with_multiplicities(p)
-            if roots:
-                return probe, [r for r, _ in roots]
-    return None, []
-
-
-def _probe_values(xs, scene):
-    x0, x1, _, _ = scene.bbox
-    vals = [(a.lo + a.hi) / 2 for a in xs]
-    vals.sort()
-    probes = []
-    if len(vals) >= 2:
-        probes.append((vals[0] + vals[-1]) / 2)
-        probes.extend((vals[i] + vals[i + 1]) / 2 for i in range(len(vals) - 1))
-    probes.extend([Fraction(0), (x0 + x1) / 2])
-    return probes
-
-
-def _check_bbox(comp, va, px, scene, report):
+def _check_bbox(comp, va, scene, report):
     x0, x1, y0, y1 = scene.bbox
     G = va.G
     # the curve on each frame edge, in y on the left and right, in x below and above
@@ -176,58 +135,53 @@ def _check_bbox(comp, va, px, scene, report):
         if zp_sign_at(p, lo) == 0 or zp_sign_at(p, hi) == 0 or window_counts(p, lo, hi)[2]:
             report.add(f"bbox[{comp.name}]", False, "BBOX: curve meets the bounding box frame")
             return
-    if px is None:
-        report.add(f"bbox[{comp.name}]", False, "BBOX: no real curve point found")
-        return
-    # inside when every crossing of the probe line lies strictly in (y0, y1)
-    total, _, between = window_counts(G.at_param(px), y0, y1)
-    inside = x0 < px < x1 and total == between
-    report.add(f"bbox[{comp.name}]", inside,
-               "" if inside else "BBOX: curve has points outside the bounding box")
+    met = False
+    for x in _probes(va.intervals):
+        # inside when every crossing of the probe line lies strictly in (y0, y1)
+        total, _, between = window_counts(G.at_param(x), y0, y1)
+        if total and not (x0 < x < x1 and total == between):
+            report.add(f"bbox[{comp.name}]", False,
+                       "BBOX: curve has points outside the bounding box")
+            return
+        met = met or total > 0
+    report.add(f"bbox[{comp.name}]", met, "" if met else "BBOX: no real curve point found")
 
 
-def _hole_witness(hole, point):
-    """A rational point strictly inside the hole disk {sign*F > 0 side}."""
-    px, roots = point
-    # between consecutive curve points, look for the hole's excluded side
-    for i in range(len(roots) - 1):
-        mid = (roots[i].hi + roots[i + 1].lo) / 2  # disjoint and sorted
-        if hole.side_sign(px, mid) > 0:  # inside the hole: excluded from X
-            return (px, mid)
-    return None
+def _check_hole(scene, hole, va, report):
+    """Every witness of the hole lies outside the other holes and inside the
+    outer curve.  A witness is a point of a probe line inside the hole,
+    between two consecutive crossings of the hole curve."""
+    name = f"hole_inside[{hole.name}]"
+    witnessed = False
+    for x in _probes(va.intervals):
+        # square-free: x is no tangency parameter
+        for y in _probes(isolate_real_roots(va.G.at_param(x))):
+            if hole.side_sign(x, y) <= 0:  # not inside the hole
+                continue
+            witnessed = True
+            other = next((o for o in scene.holes if o is not hole and o.side_sign(x, y) > 0), None)
+            if other is not None:
+                report.add(name, False, f"HOLE_OUTSIDE: hole nested inside {other.name}")
+                return
+            if scene.outer.side_sign(x, y) >= 0:
+                report.add(name, False, "HOLE_OUTSIDE: hole not inside the outer curve")
+                return
+    report.add(name, witnessed,
+               "" if witnessed else "HOLE_OUTSIDE: no interior witness for the hole")
 
 
 def validate_scene(scene) -> ValidationReport:
     report = ValidationReport()
     comps = scene.components
-    vertical = [_VerticalAnalysis(comp) for comp in comps]
-    points = [_curve_point(va, scene) for va in vertical]
-    for comp, va, point in zip(comps, vertical, points):
+    analyses = [CurveAnalysis(comp.curve) for comp in comps]
+    for comp, va in zip(comps, analyses):
         _check_smooth(comp, va, report)
-        _check_bbox(comp, va, point[0], scene, report)
+        _check_bbox(comp, va, scene, report)
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
-            _check_disjoint(vertical[i], vertical[j], comps[i].name, comps[j].name, report)
-
-    for hole, point in zip(scene.holes, points[1:]):  # components = [outer] + holes
-        w = _hole_witness(hole, point)
-        if w is None:
-            report.add(f"hole_inside[{hole.name}]", False,
-                       "HOLE_OUTSIDE: no interior witness for the hole")
-            continue
-        x, y = w
-        ok = scene.outer.side_sign(x, y) < 0
-        for other in scene.holes:
-            if other is hole:
-                continue
-            if other.side_sign(x, y) > 0:
-                ok = False
-                report.add(f"hole_inside[{hole.name}]", False,
-                           f"HOLE_OUTSIDE: hole nested inside {other.name}")
-                break
-        else:
-            report.add(f"hole_inside[{hole.name}]", ok,
-                       "" if ok else "HOLE_OUTSIDE: hole not inside the outer curve")
+            _check_disjoint(analyses[i], analyses[j], comps[i].name, comps[j].name, report)
+    for hole, va in zip(scene.holes, analyses[1:]):  # components = [outer] + holes
+        _check_hole(scene, hole, va, report)
 
     # field: nonvanishing on X
     fld = scene.field
@@ -242,7 +196,7 @@ def validate_scene(scene) -> ValidationReport:
         report.add("field_nonvanishing", not bad,
                    "" if not bad else "FIELD_VANISHES: radial center lies in X")
 
-    witness = _interior_point(scene, vertical, points[0][0])
+    witness = _interior_point(scene, analyses)
     report.add("region_nonempty", witness is not None,
                "" if witness else "EMPTY: found no interior point of X")
     if witness:
@@ -250,25 +204,16 @@ def validate_scene(scene) -> ValidationReport:
     return report
 
 
-def _interior_point(scene, vertical, px):
+def _interior_point(scene, analyses):
     """Some rational point strictly inside X, or None.
 
-    Probes the outer curve's point line x = px (None if there is none) and
-    vertical lines between its tangency parameters, and tests the midpoints
-    between consecutive boundary crossings of ALL components on each line;
-    ``vertical`` holds the analyses of scene.components.
+    Tests, on each of the outer curve's probe lines, the midpoints between
+    consecutive crossings of ALL components; ``analyses`` holds those of
+    scene.components.
     """
-    probes = []
-    if px is not None:
-        probes.append(px)
-    # the outer curve's tangency intervals as isolated, before any refinement
-    vals = sorted((lo + hi) / 2 for lo, hi in vertical[0].intervals)
-    for i in range(len(vals) - 1):
-        probes.append((vals[i] + vals[i + 1]) / 2)
-        probes.append(vals[i] + (vals[i + 1] - vals[i]) / 3)
-    for x in probes:
+    for x in _probes(analyses[0].intervals):
         roots = []
-        for va in vertical:
+        for va in analyses:
             p = va.G.at_param(x)
             if p:
                 roots.extend(r for r, _ in real_roots_with_multiplicities(p))
@@ -279,8 +224,8 @@ def _interior_point(scene, vertical, px):
         except RuntimeError:
             pass  # the midpoints below are still exact tests
         roots.sort(key=lambda r: r.lo)
-        for i in range(len(roots) - 1):
-            mid = (roots[i].hi + roots[i + 1].lo) / 2
+        for a, b in zip(roots, roots[1:]):
+            mid = (a.hi + b.lo) / 2
             if scene.contains(x, mid):
                 return (x, mid)
     return None

@@ -7,7 +7,7 @@ from trajspace.cli import main
 from trajspace.homology import BoundaryMismatch
 from trajspace.realroots import BudgetExceeded
 
-from conftest import FIXTURES, TWO_OVALS, fixture_path
+from conftest import ESCAPED_OVALS, FIXTURES, TWO_OVALS, fixture_path
 
 
 def run(capsys, *argv):
@@ -253,6 +253,25 @@ def test_export_validates_first(capsys, tmp_path):
     assert "bbox[outer]" in err
     assert "Traceback" not in err
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("name", ESCAPED_OVALS)
+def test_escaped_oval_is_a_validation_error(capsys, tmp_path, name):
+    # an oval outside the box or the outer curve exits 1, not 3 in the sweep
+    doc, check, detail = ESCAPED_OVALS[name]
+    scene_file = tmp_path / f"{name}.json"
+    scene_file.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    code, _ = run(capsys, "analyze", str(scene_file), "--out", str(out))
+    assert code == 1
+    rep = json.loads(out.read_text())
+    assert rep["error"] == "VALIDATION"
+    assert [(c["name"], c["detail"]) for c in rep["validation"]["checks"]
+            if not c["ok"]] == [(check, detail)]
+    code = main(["export", str(scene_file), "--dot", str(tmp_path / "g.dot")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [f"validation failed: {check}: {detail}"]
 
 
 def _raise(exc):

@@ -5,7 +5,7 @@ import pytest
 from trajspace.geometry import parse_scene
 from trajspace.validate import validate_scene
 
-from conftest import GENERIC_FIXTURES, TWO_OVALS, load_fixture
+from conftest import ESCAPED_OVALS, GENERIC_FIXTURES, TWO_OVALS, load_fixture
 
 VERT = {"kind": "constant", "direction": [[0, 1], [1, 1]]}
 
@@ -111,17 +111,29 @@ def test_disjoint_product_curve_is_smooth():
 
 
 def test_validation_analyses_each_component_once(monkeypatch):
-    # fig1 has 5 components: one resultant analysis and one probe line per
-    # component and validate_scene call (the stored curve is already the
-    # restriction)
-    from trajspace import validate
-    calls = {"multiple_root_params": 0, "_curve_point": 0}
-    for name in calls:
-        def counted(*args, _name=name, _orig=getattr(validate, name)):
-            calls[_name] += 1
-            return _orig(*args)
-        monkeypatch.setattr(validate, name, counted)
+    # fig1 has 5 components: one curve analysis per component and
+    # validate_scene call (the stored curve is already the restriction)
+    from trajspace import events
+    calls = []
+    init = events.CurveAnalysis.__init__
+
+    def counted(self, G):
+        calls.append(G)
+        init(self, G)
+
+    monkeypatch.setattr(events.CurveAnalysis, "__init__", counted)
     scene = load_fixture("fig1.json")
     assert len(scene.components) == 5
     assert validate_scene(scene).ok
-    assert calls == {"multiple_root_params": 5, "_curve_point": 5}
+    assert len(calls) == 5
+    assert validate_scene(scene).ok
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("name", ESCAPED_OVALS)
+def test_every_oval_is_validated(name):
+    # one oval of a curve lies outside: some probe line meets it, and the
+    # check that owns it fails rather than the sweep
+    doc, check, detail = ESCAPED_OVALS[name]
+    report = validate_scene(parse_scene(doc, name=name))
+    assert report.failures() == [(check, detail)]
